@@ -56,13 +56,17 @@ def _explore(telemetry=None, workers=1, prune=True):
                             telemetry=telemetry, **BUDGET)
 
 
-def _min_of(repeats, fn):
-    best = None
+def _interleaved_min_of(repeats, *fns):
+    """Min-of-``repeats`` seconds of each of ``fns``, timed in alternation
+    so a host speed episode cannot land on one function's block."""
+    best = [None] * len(fns)
     for __ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        seconds = time.perf_counter() - start
-        best = seconds if best is None else min(best, seconds)
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            seconds = time.perf_counter() - start
+            if best[index] is None or seconds < best[index]:
+                best[index] = seconds
     return best
 
 
@@ -119,9 +123,10 @@ def test_e21_phase_tiling_parallel_attribution():
 def test_e21_null_path_overhead():
     # Warm-up (imports, pyc, allocator) outside the timed region.
     _explore()
-    bare_s = _min_of(TIMING_REPEATS, lambda: _explore(telemetry=None))
-    null_s = _min_of(TIMING_REPEATS,
-                     lambda: _explore(telemetry=NullHarnessTelemetry()))
+    bare_s, null_s = _interleaved_min_of(
+        TIMING_REPEATS,
+        lambda: _explore(telemetry=None),
+        lambda: _explore(telemetry=NullHarnessTelemetry()))
     ratio = null_s / bare_s if bare_s else 1.0
     persist("harness", {"null_overhead": {
         "bare_seconds": round(bare_s, 4),

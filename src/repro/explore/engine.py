@@ -5,7 +5,8 @@ pure function of its decision string.  The engine enumerates decision
 strings (run a prefix, read back how many alternatives existed at each
 step, queue every first-deviation sibling) exactly like the naive DFS it
 replaces — but with **equivalence pruning**: a :class:`RecordingPolicy`
-captures the scheduler's canonical state fingerprint before every decision
+captures the scheduler's canonical state fingerprint before each decision
+the frontier reads
 (:meth:`~repro.runtime.scheduler.Scheduler.fingerprint`), and a work item
 that would re-enter an already-claimed ``(state, chosen process)`` subtree
 is dropped.  Interleavings that are permutations of independent steps
@@ -39,35 +40,62 @@ class RecordingPolicy(ScriptedPolicy):
     """A :class:`ScriptedPolicy` that additionally records, per decision,
     the canonical state fingerprint and the pid of every ready process —
     the raw material of equivalence pruning.  The scheduler invokes
-    :meth:`observe_state` right before each ``choose`` (duck-typed hook)."""
+    :meth:`observe_state` right before each ``choose`` (duck-typed hook).
 
-    def __init__(self, decisions: Optional[Sequence[int]] = None) -> None:
+    Only positions :func:`expand_record` can read are fingerprinted; the
+    rest record ``None``.  Replayed-prefix positions are skipped (the event
+    digest is still enabled at the first decision, so it covers the whole
+    run).  With the search's claim set ``seen`` (read, never written),
+    recording also stops after the first position whose default
+    continuation ``(fingerprint, ready[0].pid)`` is claimed: ``seen`` only
+    grows until this run's record is expanded, so expansion's ``break``
+    fires at or before that position.  Without ``seen`` (pool workers),
+    every position past the prefix is fingerprinted.
+    """
+
+    def __init__(
+        self,
+        decisions: Optional[Sequence[int]] = None,
+        seen: Optional[Set[PruneKey]] = None,
+    ) -> None:
         super().__init__(decisions)
-        self.fingerprints: List[int] = []
-        self.ready_pids: List[Tuple[int, ...]] = []
+        self.seen = seen
+        self.fingerprints: List[Optional[int]] = []
+        self.ready_pids: List[Optional[Tuple[int, ...]]] = []
+        self._claimed = False
 
     def observe_state(self, sched) -> None:
-        sched.enable_fingerprinting()
-        self.fingerprints.append(sched.fingerprint())
-        self.ready_pids.append(tuple(p.pid for p in sched._ready))
+        position = len(self.fingerprints)
+        if position == 0:
+            sched.enable_fingerprinting()
+        if position < len(self.decisions) or self._claimed:
+            self.fingerprints.append(None)
+            self.ready_pids.append(None)
+            return
+        fingerprint = sched.fingerprint()
+        ready = tuple(p.pid for p in sched._ready)
+        self.fingerprints.append(fingerprint)
+        self.ready_pids.append(ready)
+        if self.seen is not None and (fingerprint, ready[0]) in self.seen:
+            self._claimed = True
 
     def reset(self) -> None:
         super().reset()
         self.fingerprints = []
         self.ready_pids = []
+        self._claimed = False
 
 
 class TimedRecordingPolicy(RecordingPolicy):
     """A :class:`RecordingPolicy` that additionally accumulates the wall
     clock spent inside :meth:`observe_state` — i.e. in canonical-state
-    fingerprint hashing — so harness telemetry can attribute fingerprint
-    time separately from scheduler stepping.  Decisions are identical to
-    the untimed policy (timing is passive), which is what keeps
-    telemetry-on results byte-identical to telemetry-off ones."""
+    fingerprint hashing, event-digest folding included — so harness
+    telemetry can attribute fingerprint time separately from scheduler
+    stepping.  Decisions are identical to the untimed policy (timing is
+    passive), which is what keeps telemetry-on results byte-identical to
+    telemetry-off ones."""
 
-    def __init__(self, decisions: Optional[Sequence[int]] = None) -> None:
-        super().__init__(decisions)
-        self.fp_seconds = 0.0
+    fp_seconds = 0.0
 
     def observe_state(self, sched) -> None:
         start = perf_counter()
@@ -79,21 +107,27 @@ class TimedRecordingPolicy(RecordingPolicy):
         self.fp_seconds = 0.0
 
 
-def run_one_timed(
+def execute_schedule(
     build_and_run: BuildAndRun,
     prefix: Sequence[int],
     check: Checker,
     prune: bool,
-    telemetry,
+    seen: Optional[Set[PruneKey]] = None,
+    telemetry=None,
 ) -> RunRecord:
-    """Execute one schedule with phase-attributed wall-clock accounting.
+    """Execute one schedule and reduce it to a :class:`RunRecord`.  Every
+    search builds its policy here, passing its live claim set as ``seen``
+    (pool workers have none).
 
-    Shared by the serial engine and the parallel frontier's in-process
-    path so both attribute identically: ``step`` (scheduler stepping,
-    fingerprint time subtracted), ``fingerprint``, ``check`` (oracle
-    battery), ``record`` (RunRecord reduction).
+    With ``telemetry`` the run is clocked by phase, identically for the
+    serial engine and the parallel frontier's in-process path: ``step``
+    (scheduler stepping, fingerprint time subtracted), ``fingerprint``,
+    ``check`` (oracle battery), ``record`` (RunRecord reduction).
     """
-    policy = TimedRecordingPolicy(prefix) if prune else ScriptedPolicy(prefix)
+    recording = RecordingPolicy if telemetry is None else TimedRecordingPolicy
+    policy = recording(prefix, seen) if prune else ScriptedPolicy(prefix)
+    if telemetry is None:
+        return RunRecord.from_run(prefix, policy, check(build_and_run(policy)))
     start = perf_counter()
     run = build_and_run(policy)
     ran = perf_counter()
@@ -113,7 +147,14 @@ def run_one_timed(
 class RunRecord:
     """Everything the frontier logic needs from one executed schedule —
     a picklable reduction of the run, so parallel workers can ship it back
-    to the master without shipping the trace."""
+    to the master without shipping the trace.
+
+    ``fingerprints`` and ``ready_pids`` hold one entry per decision (none
+    when pruning is off); entries are ``None`` inside the replayed prefix
+    and after the first claimed default continuation (see
+    :class:`RecordingPolicy`).  :func:`expand_record` raises if it reaches
+    a ``None`` entry.
+    """
 
     prefix: Tuple[int, ...]
     taken: Tuple[int, ...]
@@ -196,22 +237,22 @@ def expand_record(
     for position in range(len(record.prefix), horizon):
         alternatives = record.branch_log[position]
         base = record.taken[:position]
+        if seen is not None:
+            fingerprint = record.fingerprints[position]
+            ready = record.ready_pids[position]
+            if fingerprint is None or ready is None:
+                raise ValueError("no fingerprint recorded at position "
+                                 "{}".format(position))
         for choice in range(1, alternatives):
             if seen is not None:
-                key = (
-                    record.fingerprints[position],
-                    record.ready_pids[position][choice],
-                )
+                key = (fingerprint, ready[choice])
                 if key in seen:
                     pruned += 1
                     continue
                 seen.add(key)
             children.append(base + (choice,))
         if seen is not None:
-            default_key = (
-                record.fingerprints[position],
-                record.ready_pids[position][record.taken[position]],
-            )
+            default_key = (fingerprint, ready[record.taken[position]])
             if default_key in seen:
                 # The run's own continuation from here on retraces a subtree
                 # an earlier item claimed; deeper deviations live inside it.
@@ -262,12 +303,6 @@ class ExplorationEngine:
             telemetry = None
         self.telemetry = telemetry
 
-    def run_one(self, prefix: Sequence[int], check: Checker) -> RunRecord:
-        """Execute a single schedule and reduce it to a :class:`RunRecord`."""
-        policy = RecordingPolicy(prefix) if self.prune else ScriptedPolicy(prefix)
-        run = self._build_and_run(policy)
-        return RunRecord.from_run(prefix, policy, check(run))
-
     def explore(
         self,
         check: Checker,
@@ -303,11 +338,8 @@ class ExplorationEngine:
                 result.exhausted = False
                 break
             prefix = frontier.pop()
-            if telemetry is None:
-                record = self.run_one(prefix, check)
-            else:
-                record = run_one_timed(self._build_and_run, prefix, check,
-                                       self.prune, telemetry)
+            record = execute_schedule(self._build_and_run, prefix, check,
+                                      self.prune, seen, telemetry)
             result.runs += 1
             if record.messages:
                 result.violations.append((record.taken, list(record.messages)))

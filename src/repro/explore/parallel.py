@@ -40,14 +40,12 @@ import pickle
 from time import perf_counter
 from typing import List, Optional, Set, Tuple
 
-from ..runtime.policies import ScriptedPolicy
 from .engine import (
     ExplorationResult,
     PruneKey,
-    RecordingPolicy,
     RunRecord,
+    execute_schedule,
     expand_record,
-    run_one_timed,
 )
 from .targets import ExplorationTarget, get_target
 
@@ -62,17 +60,12 @@ def _init_worker(problem: str, mechanism: str, prune: bool) -> None:
     _WORKER["prune"] = prune
 
 
-def _execute(
-    target: ExplorationTarget, prefix: Tuple[int, ...], prune: bool
-) -> RunRecord:
-    """Run one schedule of ``target`` and reduce it to a record."""
-    policy = RecordingPolicy(prefix) if prune else ScriptedPolicy(prefix)
-    run = target.build_and_run(policy)
-    return RunRecord.from_run(prefix, policy, target.checker(run))
-
-
 def _execute_in_worker(prefix: Tuple[int, ...]) -> RunRecord:
-    return _execute(_WORKER["target"], prefix, _WORKER["prune"])
+    """Run one schedule in a pool worker.  Workers hold no claim set, so
+    they fingerprint every decision past the prefix."""
+    target = _WORKER["target"]
+    return execute_schedule(target.build_and_run, prefix, target.checker,
+                            _WORKER["prune"])
 
 
 def _execute_in_worker_timed(
@@ -85,7 +78,7 @@ def _execute_in_worker_timed(
     :func:`_execute_in_worker`'s (timing is passive), preserving
     worker-count- and telemetry-independence of results."""
     start = perf_counter()
-    record = _execute(_WORKER["target"], prefix, _WORKER["prune"])
+    record = _execute_in_worker(prefix)
     end = perf_counter()
     result_bytes = len(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
     return record, (os.getpid(), start, end, result_bytes)
@@ -216,23 +209,14 @@ def explore_parallel(
                 else:
                     records = pool.map(_execute_in_worker, wave,
                                        chunksize=chunk)
-            elif telemetry is not None:
-                telemetry.add("dispatch", perf_counter() - mark)
+            else:
+                if telemetry is not None:
+                    telemetry.add("dispatch", perf_counter() - mark)
                 records = [
-                    run_one_timed(target.build_and_run, prefix, checker,
-                                  prune, telemetry)
+                    execute_schedule(target.build_and_run, prefix, checker,
+                                     prune, seen, telemetry)
                     for prefix in wave
                 ]
-            elif check is None:
-                records = [_execute(target, prefix, prune) for prefix in wave]
-            else:
-                records = []
-                for prefix in wave:
-                    policy = (RecordingPolicy(prefix) if prune
-                              else ScriptedPolicy(prefix))
-                    run = target.build_and_run(policy)
-                    records.append(RunRecord.from_run(prefix, policy,
-                                                      check(run)))
             mark = perf_counter() if telemetry is not None else 0.0
             stopped_at = None
             children: List[Tuple[int, ...]] = []

@@ -138,9 +138,11 @@ class Scheduler:
         self._live_nondaemons = 0
         self._park_counter = 0
         # Canonical-state fingerprinting (exploration support).  Disabled
-        # until enable_fingerprinting(): ordinary runs pay one is-None test
-        # per logged event, nothing more.
+        # until enable_fingerprinting(); the event digest is folded lazily
+        # by fingerprint(), so logging an event never pays for it.
+        # _fp_mark is the trace index up to which events are folded.
         self._fp_digest: Optional[int] = None
+        self._fp_mark = 0
         self._fp_providers: List[Callable[[], Any]] = []
 
     # ------------------------------------------------------------------
@@ -175,13 +177,17 @@ class Scheduler:
     # Canonical state fingerprint (exploration support)
     # ------------------------------------------------------------------
     def enable_fingerprinting(self) -> None:
-        """Start maintaining the commutative event digest that
-        :meth:`fingerprint` folds in.  Called once (idempotent) by
-        exploration policies before the first scheduling decision; events
-        logged earlier (the initial spawns) are identical across replays of
-        the same system, so omitting them never conflates distinct states."""
+        """Start the commutative event digest that :meth:`fingerprint`
+        folds in, covering every event logged from this call on.  Called
+        once (idempotent) by exploration policies before the first
+        scheduling decision; events logged earlier (the initial spawns) are
+        identical across replays of the same system, so omitting them never
+        conflates distinct states.  Nothing is hashed here: the call only
+        marks the current trace index, and :meth:`fingerprint` folds the
+        events logged since then when it is next called."""
         if self._fp_digest is None:
             self._fp_digest = 0
+            self._fp_mark = len(self.trace)
 
     def add_fingerprint_provider(self, fn: Callable[[], Any]) -> None:
         """Register a zero-argument snapshot of *shared user state* (buffer
@@ -206,12 +212,23 @@ class Scheduler:
           diverge;
         * registered fingerprint providers (shared user state).
 
+        The event digest is folded here, not in :meth:`log`: each call adds
+        the BLAKE2b hash of ``repr((pid, kind, obj, detail))`` of every
+        event logged since the previous call (sum mod 2^64, so the order of
+        folding cannot matter); an event's ``detail`` is read at folding
+        time, so it must not be mutated after it is logged.  A run hashes
+        each event at most once, and events after its last fingerprint
+        never.  Exploration calls this only at the decisions the frontier
+        reads (see :class:`~repro.explore.engine.RecordingPolicy`).
+
         Two prefixes with equal fingerprints have behaviourally identical
         continuations (see DESIGN.md §9 for the soundness argument), which
         is what lets the exploration engine visit each equivalence class of
         interleavings once.  Uses BLAKE2b, not ``hash()``, so digests agree
         across worker processes regardless of ``PYTHONHASHSEED``.
         """
+        if self._fp_digest is not None and self._fp_mark < len(self.trace):
+            self._fold_events()
         procs = tuple(
             (p.pid, p.state.value, p.steps, p.blocked_on or "",
              str(p.wait_obj or ""), p.daemon)
@@ -245,6 +262,22 @@ class Scheduler:
         return int.from_bytes(
             hashlib.blake2b(payload, digest_size=8).digest(), "big"
         )
+
+    def _fold_events(self) -> None:
+        """Add every event logged since the last fold to the digest.
+        Commutative (addition mod 2^64) so permutations of the same event
+        multiset — i.e. reorderings of independent steps — produce the same
+        digest.  seq/time are deliberately excluded: they are positional,
+        not state."""
+        digest = self._fp_digest
+        blake2b = hashlib.blake2b
+        for event in self.trace[self._fp_mark:]:
+            digest += int.from_bytes(blake2b(
+                repr((event.pid, event.kind, event.obj, event.detail)).encode(),
+                digest_size=8,
+            ).digest(), "big")
+        self._fp_digest = digest & 0xFFFFFFFFFFFFFFFF
+        self._fp_mark = len(self.trace)
 
     # ------------------------------------------------------------------
     # Process management
@@ -565,20 +598,6 @@ class Scheduler:
         pname = actor.name if actor is not None else "<sched>"
         event = Event(self._next_seq(), self._time, pid, pname, kind, obj, detail)
         self.trace.append(event)
-        if self._fp_digest is not None:
-            # Commutative (addition mod 2^64) so permutations of the same
-            # event multiset — i.e. reorderings of independent steps —
-            # produce the same digest.  seq/time are deliberately excluded:
-            # they are positional, not state.
-            self._fp_digest = (
-                self._fp_digest + int.from_bytes(
-                    hashlib.blake2b(
-                        repr((pid, kind, obj, detail)).encode(),
-                        digest_size=8,
-                    ).digest(),
-                    "big",
-                )
-            ) & 0xFFFFFFFFFFFFFFFF
         if self._sink is not None:
             self._sink.on_event(event)
         if self.fault_plan is not None and actor is not None:

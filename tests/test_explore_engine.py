@@ -305,6 +305,12 @@ def test_recording_policy_fingerprints_are_deterministic():
     assert first.fingerprints == second.fingerprints
     assert first.ready_pids == second.ready_pids
     assert len(first.fingerprints) == len(first.branch_log)
+    # The replayed prefix is not fingerprinted; without a claim set every
+    # later decision is.
+    assert first.fingerprints[:3] == [None] * 3
+    assert first.ready_pids[:3] == [None] * 3
+    assert None not in first.fingerprints[3:]
+    assert None not in first.ready_pids[3:]
 
 
 def test_fingerprint_distinguishes_decision_paths():
@@ -313,4 +319,21 @@ def test_fingerprint_distinguishes_decision_paths():
     target.build_and_run(default)
     deviated = RecordingPolicy([1])
     target.build_and_run(deviated)
-    assert default.fingerprints != deviated.fingerprints
+    assert deviated.fingerprints[0] is None
+    # Compare past the deviation, where both runs fingerprint.
+    assert default.fingerprints[1] != deviated.fingerprints[1]
+    assert default.fingerprints[1:] != deviated.fingerprints[1:]
+
+
+def test_recording_stops_after_a_claimed_continuation():
+    target = get_target("bounded_buffer", "semaphore")
+    full = RecordingPolicy([])
+    target.build_and_run(full)
+    stop = 4
+    claimed = {(full.fingerprints[stop], full.ready_pids[stop][0])}
+    stopped = RecordingPolicy([], seen=claimed)
+    target.build_and_run(stopped)
+    assert stopped.fingerprints[:stop + 1] == full.fingerprints[:stop + 1]
+    assert stopped.fingerprints[stop + 1:] == (
+        [None] * (len(full.fingerprints) - stop - 1))
+    assert stopped.taken == full.taken

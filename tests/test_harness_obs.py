@@ -77,7 +77,7 @@ def test_null_sink_is_normalized_and_identical():
 
 def test_engine_and_frontier_agree_under_telemetry():
     """The serial engine (via the target's runner) and the one-worker
-    frontier attribute through the same run_one_timed and agree on the
+    frontier attribute through the same execute_schedule and agree on the
     search outcome."""
     target = get_target(*TARGET)
     engine_tel = HarnessTelemetry()
