@@ -50,7 +50,7 @@ def test_bench_partition_table() -> None:
         assert res.violations == [], res.name
         assert res.surprises == [], res.name
         for o in res.outcomes:
-            assert o.split_brain == 0, (res.name, o.plan_name)
+            assert o.count(SPLIT_BRAIN) == 0, (res.name, o.plan_name)
             assert o.classification != SPLIT_BRAIN
 
     expected = expected_partition_classifications()
@@ -68,8 +68,8 @@ def test_bench_partition_table() -> None:
     for cell in (("quorum_lock", "partition-heal"),
                  ("leader_election", "partition-heal")):
         o = by_cell[cell]
-        assert o.mttr_failover is not None, cell
-        assert o.mttr_post_heal is not None, cell
+        assert o.mean("failover") is not None, cell
+        assert o.mean("post_heal") is not None, cell
         assert o.message_stats.get("dropped", 0) > 0, cell
 
     persist("partition", {
@@ -77,12 +77,10 @@ def test_bench_partition_table() -> None:
             res.name: {
                 o.plan_name: {
                     "runs": o.runs,
-                    "split_brain": o.split_brain,
-                    "wedged": o.wedged,
-                    "tolerant": o.tolerant,
+                    **o.tally(),
                     "classification": o.classification,
-                    "mttr_failover": o.mttr_failover,
-                    "mttr_post_heal": o.mttr_post_heal,
+                    "mttr_failover": o.mean("failover"),
+                    "mttr_post_heal": o.mean("post_heal"),
                     "message_stats": o.message_stats,
                 }
                 for o in res.outcomes

@@ -28,7 +28,9 @@ from repro.resilience import (
     expected_resilience_classifications,
     resilience_report,
     search_restart_witness,
+    witness_payload,
 )
+from repro.resilience.report import restarts
 from repro.verify.partition import SPLIT_BRAIN, TOLERANT, WEDGED
 
 
@@ -60,16 +62,17 @@ def test_bench_resilience_table() -> None:
     unfenced = by_cell[("restart_lock_unfenced", "crash+partition")]
     assert unfenced.classification == SPLIT_BRAIN
     assert unfenced.violations
-    assert unfenced.restarts >= 1
+    assert restarts(unfenced) >= 1
 
     # The fenced twin survives the identical faults, restarts included,
     # and reports measured recovery on both MTTR legs plus availability.
     fenced = by_cell[("restart_lock", "crash+partition")]
     assert fenced.classification == TOLERANT
-    assert fenced.restarts >= 1
-    assert fenced.mttr_failover is not None
-    assert fenced.mttr_post_heal is not None
-    assert fenced.availability is not None and 0.0 < fenced.availability <= 1.0
+    assert restarts(fenced) >= 1
+    assert fenced.mean("failover") is not None
+    assert fenced.mean("post_heal") is not None
+    availability = fenced.mean("availability")
+    assert availability is not None and 0.0 < availability <= 1.0
 
     # The redundant quorum scenarios keep serving through the combined
     # faults at the five-node size — the availability number exists and
@@ -78,9 +81,9 @@ def test_bench_resilience_table() -> None:
                  ("leader_election", "crash+partition")):
         o = by_cell[cell]
         assert o.classification == TOLERANT, cell
-        assert o.availability is not None, cell
-        assert (o.mttr_failover is not None
-                or o.mttr_post_heal is not None), cell
+        assert o.mean("availability") is not None, cell
+        assert (o.mean("failover") is not None
+                or o.mean("post_heal") is not None), cell
         assert o.message_stats.get("sent", 0) > 0, cell
 
     persist("resilience", {
@@ -90,15 +93,13 @@ def test_bench_resilience_table() -> None:
                 o.cell_name: {
                     "faults": o.faults,
                     "runs": o.runs,
-                    "split_brain": o.split_brain,
-                    "wedged": o.wedged,
-                    "tolerant": o.tolerant,
+                    **o.tally(),
                     "violations": len(o.violations),
-                    "restarts": o.restarts,
+                    "restarts": restarts(o),
                     "classification": o.classification,
-                    "mttr_failover": o.mttr_failover,
-                    "mttr_post_heal": o.mttr_post_heal,
-                    "availability": o.availability,
+                    "mttr_failover": o.mean("failover"),
+                    "mttr_post_heal": o.mean("post_heal"),
+                    "availability": o.mean("availability"),
                     "message_stats": o.message_stats,
                 }
                 for o in res.outcomes
@@ -118,18 +119,19 @@ def test_bench_resilience_witness_search() -> None:
     # singleton prefix of the enumeration already proved either fault
     # alone is survivable.
     assert len(found.witness) <= 2
-    assert found.witness_kills == 1
-    assert found.witness_cuts == 1
+    payload = witness_payload(found)
+    assert (payload["witness_kills"], payload["witness_cuts"]) == (1, 1)
     # Fencing closes the hole under the very same fault plans.
     assert fenced_label == TOLERANT
 
     # Determinism: the search is a pure function of the virtual clock.
     again, again_label = search_restart_witness()
-    assert again.to_dict() == found.to_dict()
+    assert witness_payload(again) == payload
     assert again_label == fenced_label
 
-    payload = found.to_dict()
     payload["fenced_replay"] = fenced_label
-    emit("E22: minimal combined witness",
-         "{}\nfenced replay: {}".format(found.describe(), fenced_label))
+    emit("E22: minimal combined witness", "{}\nfenced replay: {}".format(
+        found.describe("minimal combined witness",
+                       "no combined fault plan defeated the scenario"),
+        fenced_label))
     persist("resilience", {"search": payload})

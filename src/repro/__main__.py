@@ -63,7 +63,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 #: default run-store location for ``repro causal`` / ``repro regress``.
 RUNS_DIR = os.path.join(".repro", "runs")
@@ -167,6 +167,45 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finish_report(
+    args: argparse.Namespace,
+    table: str,
+    payload: dict,
+    surprises: List[str],
+    ok: str,
+    violations: Sequence[str] = (),
+    notes: Sequence[str] = (),
+) -> int:
+    """Print a fault report — ``payload`` as JSON, or ``table`` plus
+    ``notes`` — and return its exit code: 1 when a classification
+    surprised the layer's model or a gated safety violation fired."""
+    failed = bool(surprises or violations)
+    if args.json:
+        print(json.dumps(payload, indent=2))
+        return 1 if failed else 0
+    print(table)
+    for line in notes:
+        print(line)
+    if violations:
+        print("\nSAFETY VIOLATIONS:", *violations, sep="\n  ")
+    if surprises:
+        print("\nUNEXPECTED:", *surprises, sep="\n  ")
+    if failed:
+        return 1
+    print(ok)
+    return 0
+
+
+def _kill_rows(results, expected) -> List[dict]:
+    """The ``--json`` rows of a kill-campaign report (chaos, recovery)."""
+    return [
+        dict(name=r.name, victim=r.victim, runs=r.runs, **r.tally(),
+             violations=r.violations, classification=r.classification,
+             expected=expected[r.name])
+        for r in results
+    ]
+
+
 def _cmd_robustness(args: argparse.Namespace) -> int:
     from .verify.chaos import expected_classifications, robustness_report
 
@@ -179,32 +218,11 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         for r in results
         if r.classification != expected[r.name]
     ]
-    if args.json:
-        print(json.dumps({
-            "scenarios": [
-                {
-                    "name": r.name,
-                    "victim": r.victim,
-                    "runs": r.runs,
-                    "contained": r.contained,
-                    "propagated": r.propagated,
-                    "deadlocked": r.deadlocked,
-                    "step_limited": r.step_limited,
-                    "violations": r.violations,
-                    "classification": r.classification,
-                    "expected": expected[r.name],
-                }
-                for r in results
-            ],
-            "surprises": surprises,
-        }, indent=2))
-        return 1 if surprises else 0
-    print(table)
-    if surprises:
-        print("\nUNEXPECTED:", *surprises, sep="\n  ")
-        return 1
-    print("\nall classifications match the fault model (DESIGN.md)")
-    return 0
+    payload = {"scenarios": _kill_rows(results, expected),
+               "surprises": surprises}
+    return _finish_report(
+        args, table, payload, surprises,
+        "\nall classifications match the fault model (DESIGN.md)")
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -213,113 +231,89 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     results, table = partition_report(fast=args.fast)
     surprises = [s for r in results for s in r.surprises]
     violations = [v for r in results for v in r.violations]
-    if args.json:
-        print(json.dumps({
-            "scenarios": [
-                {
-                    "name": r.name,
-                    "runs": r.runs,
-                    "mttr_failover": r.mttr_failover,
-                    "mttr_post_heal": r.mttr_post_heal,
-                    "plans": [
-                        {
-                            "plan": o.plan_name,
-                            "faults": o.plan.describe(),
-                            "expected": o.expected,
-                            "runs": o.runs,
-                            "split_brain": o.split_brain,
-                            "wedged": o.wedged,
-                            "tolerant": o.tolerant,
-                            "violations": o.violations,
-                            "mttr_failover": o.mttr_failover,
-                            "mttr_post_heal": o.mttr_post_heal,
-                            "message_stats": o.message_stats,
-                            "classification": o.classification,
-                        }
-                        for o in r.outcomes
-                    ],
-                }
-                for r in results
-            ],
-            "surprises": surprises,
-            "violations": violations,
-        }, indent=2))
-        return 1 if (surprises or violations) else 0
-    print(table)
-    if violations:
-        print("\nSAFETY VIOLATIONS:", *violations, sep="\n  ")
-    if surprises:
-        print("\nUNEXPECTED:", *surprises, sep="\n  ")
-    if surprises or violations:
-        return 1
-    print("\nno split brain on any explored schedule; classifications "
-          "match the partition model (DESIGN.md §12)")
-    return 0
+    payload = {
+        "scenarios": [
+            {
+                "name": r.name,
+                "runs": r.runs,
+                "mttr_failover": r.mean("failover"),
+                "mttr_post_heal": r.mean("post_heal"),
+                "plans": [
+                    dict(plan=o.cell_name, faults=o.faults,
+                         expected=o.expected, runs=o.runs, **o.tally(),
+                         violations=o.violations,
+                         mttr_failover=o.mean("failover"),
+                         mttr_post_heal=o.mean("post_heal"),
+                         message_stats=o.message_stats,
+                         classification=o.classification)
+                    for o in r.outcomes
+                ],
+            }
+            for r in results
+        ],
+        "surprises": surprises,
+        "violations": violations,
+    }
+    return _finish_report(
+        args, table, payload, surprises,
+        "\nno split brain on any explored schedule; classifications "
+        "match the partition model (DESIGN.md §12)",
+        violations=violations)
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
-    from .resilience import (resilience_report, search_restart_witness)
+    from .resilience import (RESILIENCE_CLUSTER, resilience_report,
+                             search_restart_witness, witness_payload)
+    from .resilience.report import restarts
 
     results, table = resilience_report(fast=args.fast)
-    surprises = [s for r in results for s in r.surprises]
-    violations = [v for r in results for v in r.violations]
     # The unfenced cell *documents* a split-brain; its violations are the
     # expected evidence, not a gate failure — gating is on surprises.
-    witness = fenced_label = None
+    surprises = [s for r in results for s in r.surprises]
+    payload = {
+        "scenarios": [
+            {
+                "name": r.name,
+                "cluster": RESILIENCE_CLUSTER,
+                "runs": r.runs,
+                "mttr_failover": r.mean("failover"),
+                "mttr_post_heal": r.mean("post_heal"),
+                "availability": r.mean("availability"),
+                "cells": [
+                    dict(cell=o.cell_name, faults=o.faults,
+                         expected=o.expected, runs=o.runs,
+                         restarts=restarts(o), **o.tally(),
+                         violations=o.violations,
+                         mttr_failover=o.mean("failover"),
+                         mttr_post_heal=o.mean("post_heal"),
+                         availability=o.mean("availability"),
+                         message_stats=o.message_stats,
+                         classification=o.classification)
+                    for o in r.outcomes
+                ],
+            }
+            for r in results
+        ],
+        "surprises": surprises,
+    }
+    notes: List[str] = []
     if args.search:
         witness, fenced_label = search_restart_witness()
-    if args.json:
-        payload = {
-            "scenarios": [
-                {
-                    "name": r.name,
-                    "cluster": r.cluster,
-                    "runs": r.runs,
-                    "mttr_failover": r.mttr_failover,
-                    "mttr_post_heal": r.mttr_post_heal,
-                    "availability": r.availability,
-                    "cells": [
-                        {
-                            "cell": o.cell_name,
-                            "faults": o.faults,
-                            "expected": o.expected,
-                            "runs": o.runs,
-                            "restarts": o.restarts,
-                            "split_brain": o.split_brain,
-                            "wedged": o.wedged,
-                            "tolerant": o.tolerant,
-                            "violations": o.violations,
-                            "mttr_failover": o.mttr_failover,
-                            "mttr_post_heal": o.mttr_post_heal,
-                            "availability": o.availability,
-                            "message_stats": o.message_stats,
-                            "classification": o.classification,
-                        }
-                        for o in r.outcomes
-                    ],
-                }
-                for r in results
-            ],
-            "surprises": surprises,
-        }
-        if witness is not None:
-            payload["search"] = witness.to_dict()
-            payload["search"]["fenced_replay"] = fenced_label
-        print(json.dumps(payload, indent=2))
-        return 1 if surprises else 0
-    print(table)
-    if witness is not None:
-        print("\nJoint fault-plan search ({} plan(s) tried, {} ddmin "
-              "test(s)):".format(witness.tried, witness.minimize_tests))
-        print("  " + witness.describe())
+        payload["search"] = witness_payload(witness)
+        payload["search"]["fenced_replay"] = fenced_label
+        notes = [
+            "\nJoint fault-plan search ({} plan(s) tried, {} ddmin "
+            "test(s)):".format(witness.tried, witness.minimize_tests),
+            "  " + witness.describe(
+                "minimal combined witness",
+                "no combined fault plan defeated the scenario"),
+        ]
         if fenced_label:
-            print("  same faults with fencing on: " + fenced_label)
-    if surprises:
-        print("\nUNEXPECTED:", *surprises, sep="\n  ")
-        return 1
-    print("\nall combined-fault classifications match the resilience "
-          "model (DESIGN.md §16)")
-    return 0
+            notes.append("  same faults with fencing on: " + fenced_label)
+    return _finish_report(
+        args, table, payload, surprises,
+        "\nall combined-fault classifications match the resilience "
+        "model (DESIGN.md §16)", notes=notes)
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
@@ -385,53 +379,38 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         if r.classification not in expected[r.name]
     ]
     fingerprints = mttr_fingerprints()
-    witness = minimal_defeat_witness() if args.search else None
-    if args.json:
-        payload = {
-            "scenarios": [
-                {
-                    "name": r.name,
-                    "victim": r.victim,
-                    "runs": r.runs,
-                    "recovered": r.recovered,
-                    "degraded": r.degraded,
-                    "wedged": r.wedged,
-                    "violated": r.violated,
-                    "violations": r.violations,
-                    "classification": r.classification,
-                    "expected": list(expected[r.name]),
-                }
-                for r in results
-            ],
-            "mttr": fingerprints,
-            "surprises": surprises,
-        }
-        if witness is not None:
-            payload["witness"] = {
-                "tried": witness.tried,
-                "kills": [k.describe() for k in witness.witness or ()],
-                "label": witness.witness_label,
-            }
-        print(json.dumps(payload, indent=2))
-        return 1 if surprises else 0
-    print(table)
-    print("\nDeterministic MTTR fingerprints (kill at deepest fault point):")
+    payload = {
+        "scenarios": _kill_rows(
+            results, {name: list(ok) for name, ok in expected.items()}),
+        "mttr": fingerprints,
+        "surprises": surprises,
+    }
+    notes = ["\nDeterministic MTTR fingerprints (kill at deepest fault "
+             "point):"]
     for name, fp in fingerprints.items():
-        print("  {:<18} mttr={:<6} rate={:<5} [{}] ({})".format(
+        notes.append("  {:<18} mttr={:<6} rate={:<5} [{}] ({})".format(
             name,
             "-" if fp["mttr"] is None else fp["mttr"],
             fp["recovery_rate"],
             fp["classification"],
             fp["kill"],
         ))
-    if witness is not None:
-        print("\nFault-plan search ({} plans tried):".format(witness.tried))
-        print("  " + witness.describe())
-    if surprises:
-        print("\nUNEXPECTED:", *surprises, sep="\n  ")
-        return 1
-    print("\nall classifications within the recovery contract (DESIGN.md)")
-    return 0
+    if args.search:
+        witness = minimal_defeat_witness()
+        payload["witness"] = {
+            "tried": witness.tried,
+            "kills": [k.describe() for k in witness.witness or ()],
+            "label": witness.witness_label,
+        }
+        notes += [
+            "\nFault-plan search ({} plans tried):".format(witness.tried),
+            "  " + witness.describe(
+                "minimal crash set", "no fault plan defeated recovery"),
+        ]
+    return _finish_report(
+        args, table, payload, surprises,
+        "\nall classifications within the recovery contract (DESIGN.md)",
+        notes=notes)
 
 
 def _seed_policy(args: argparse.Namespace):

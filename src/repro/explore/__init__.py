@@ -1,8 +1,8 @@
 """The exploration engine: pruned, parallel, minimizing schedule-space
 search (DESIGN.md §9).
 
-This package supersedes the naive DFS that used to live in
-``repro.verify.explorer`` (still available there as a compatibility shim):
+With pruning off (the default), the engine is the naive first-deviation
+DFS; the package provides:
 
 * :mod:`repro.explore.engine` — serial depth-first search with canonical
   state-fingerprint equivalence pruning.

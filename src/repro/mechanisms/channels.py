@@ -112,6 +112,12 @@ class Channel:
         self.broken = False
         self.broken_by: Optional[str] = None
 
+    def __repr__(self) -> str:
+        # Send/receive events carry the channel in their details, and the
+        # state fingerprint hashes the details' repr: it must not embed an
+        # address, or fingerprints differ between processes.
+        return "Channel({!r})".format(self.name)
+
     @property
     def buffered(self) -> int:
         """Messages sitting in the buffer (0 for rendezvous channels)."""

@@ -107,8 +107,8 @@ class Supervisor:
     run under supervision terminates exactly when recovery has nothing left
     to do.  Killing the supervisor itself (fault plans may) silently
     disables recovery — the fault-plan search in
-    :mod:`repro.recover.search` exploits precisely that single point of
-    failure.
+    :func:`repro.verify.recovery.minimal_defeat_witness` exploits
+    precisely that single point of failure.
     """
 
     def __init__(

@@ -24,24 +24,19 @@ and the mechanism that makes the composition safe:
 from .durable import DurableNamespace, DurableStore
 from .fencing import FencedResource
 from .supervisor import NodeSupervisor, QUARANTINE, REPLAY
-from .search import (CrashSpec, CutSpec, JointFault, JointSearchResult,
-                     describe_joint, joint_plan, minimize_joint_set,
-                     search_joint_plans)
-from .report import (CombinedOutcome, ResilienceScenarioResult,
-                     RESILIENCE_CLUSTER, classify_run,
-                     expected_resilience_classifications,
-                     explore_resilience_scenario, resilience_report,
+from .search import (CrashSpec, CutSpec, JointFault, describe_joint,
+                     joint_plan, search_joint_plans, witness_payload)
+from .report import (RESILIENCE_CLUSTER, classify_run,
+                     expected_resilience_classifications, resilience_report,
                      resilience_scenarios, search_restart_witness)
 
 __all__ = [
     "DurableNamespace", "DurableStore",
     "FencedResource",
     "NodeSupervisor", "QUARANTINE", "REPLAY",
-    "CrashSpec", "CutSpec", "JointFault", "JointSearchResult",
-    "describe_joint", "joint_plan", "minimize_joint_set",
-    "search_joint_plans",
-    "CombinedOutcome", "ResilienceScenarioResult", "RESILIENCE_CLUSTER",
-    "classify_run", "expected_resilience_classifications",
-    "explore_resilience_scenario", "resilience_report",
+    "CrashSpec", "CutSpec", "JointFault", "describe_joint", "joint_plan",
+    "search_joint_plans", "witness_payload",
+    "RESILIENCE_CLUSTER", "classify_run",
+    "expected_resilience_classifications", "resilience_report",
     "resilience_scenarios", "search_restart_witness",
 ]

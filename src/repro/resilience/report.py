@@ -26,183 +26,31 @@ tolerant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core import ascii_table
 from ..dist import NetPlan
-from ..obs.recovery import compute_availability, compute_partition_mttr
-from ..runtime.errors import StepLimitExceeded
+from ..obs.recovery import compute_availability
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
-from ..runtime.trace import RunResult, Trace
-from ..explore.engine import ExplorationEngine
+from ..runtime.trace import RunResult
+from ..verify.campaign import Campaign, Cell, SearchResult
 from ..verify.partition import (SPLIT_BRAIN, TOLERANT, WEDGED, Checker,
                                 check_at_most_one_leader, check_fencing,
                                 check_lease_exclusion,
-                                check_mutex_intervals,
-                                make_progress_after_heal)
-from .search import (CrashSpec, CutSpec, JointSearchResult, joint_plan,
-                     search_joint_plans)
+                                check_mutex_intervals, classify_run,
+                                explore_dist_scenario, fold_network,
+                                format_ticks, quorum_lock_succeeded)
+from .search import CrashSpec, CutSpec, joint_plan, search_joint_plans
 
 __all__ = [
-    "CombinedOutcome", "ResilienceScenarioResult", "RESILIENCE_CLUSTER",
-    "resilience_scenarios", "explore_resilience_scenario",
-    "resilience_report", "search_restart_witness",
-    "expected_resilience_classifications", "classify_run",
+    "RESILIENCE_CLUSTER", "resilience_scenarios", "resilience_report",
+    "search_restart_witness", "expected_resilience_classifications",
+    "classify_run", "restarts",
 ]
 
 #: Default cluster size for every scenario (≥ 5 per the acceptance bar).
 RESILIENCE_CLUSTER = 5
-
-#: A combined-fault cell: (label, netplan, fault plan, expected
-#: classification, post-heal evidence kinds).
-CombinedCell = Tuple[str, Optional[NetPlan], Optional[FaultPlan], str,
-                     Tuple[str, ...]]
-#: A dist builder under both plans.
-CombinedBuilder = Callable[
-    [ScriptedPolicy, Optional[NetPlan], Optional[FaultPlan]], RunResult]
-
-
-# ----------------------------------------------------------------------
-# Outcome containers
-# ----------------------------------------------------------------------
-@dataclass
-class CombinedOutcome:
-    """Aggregate over explored schedules for one (scenario, cell)."""
-
-    cell_name: str
-    netplan: Optional[NetPlan]
-    fault_plan: Optional[FaultPlan]
-    expected: str
-    runs: int = 0
-    split_brain: int = 0
-    wedged: int = 0
-    tolerant: int = 0
-    violations: List[str] = field(default_factory=list)
-    failover_samples: List[int] = field(default_factory=list)
-    post_heal_samples: List[int] = field(default_factory=list)
-    availability_samples: List[float] = field(default_factory=list)
-    restarts: int = 0
-    message_stats: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def classification(self) -> str:
-        if self.split_brain:
-            return SPLIT_BRAIN
-        if self.wedged:
-            return WEDGED
-        return TOLERANT
-
-    @property
-    def faults(self) -> List[str]:
-        out: List[str] = []
-        if self.fault_plan is not None:
-            out.extend(self.fault_plan.describe())
-        if self.netplan is not None:
-            out.extend(self.netplan.describe())
-        return out
-
-    def _mean(self, samples: List) -> Optional[float]:
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-    @property
-    def mttr_failover(self) -> Optional[float]:
-        return self._mean(self.failover_samples)
-
-    @property
-    def mttr_post_heal(self) -> Optional[float]:
-        return self._mean(self.post_heal_samples)
-
-    @property
-    def availability(self) -> Optional[float]:
-        return self._mean(self.availability_samples)
-
-
-@dataclass
-class ResilienceScenarioResult:
-    """Every combined-fault cell of one scenario."""
-
-    name: str
-    cluster: int
-    outcomes: List[CombinedOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return sum(o.runs for o in self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(o.violations)
-        return out
-
-    @property
-    def surprises(self) -> List[str]:
-        return [
-            "{} under {}: expected {}, observed {}".format(
-                self.name, o.cell_name, o.expected, o.classification)
-            for o in self.outcomes if o.classification != o.expected
-        ]
-
-    @property
-    def mttr_failover(self) -> Optional[float]:
-        samples = [s for o in self.outcomes for s in o.failover_samples]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-    @property
-    def mttr_post_heal(self) -> Optional[float]:
-        samples = [s for o in self.outcomes for s in o.post_heal_samples]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-    @property
-    def availability(self) -> Optional[float]:
-        samples = [s for o in self.outcomes
-                   for s in o.availability_samples]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-
-# ----------------------------------------------------------------------
-# Classification
-# ----------------------------------------------------------------------
-def classify_run(
-    run: RunResult,
-    safety: Checker,
-    success: Callable[[RunResult], bool],
-    progress: Optional[Checker] = None,
-) -> Tuple[str, List[str]]:
-    """One run's label and any safety-violation messages — the same
-    precedence the partition report uses (split-brain > wedged >
-    tolerant), factored out so the joint search classifies identically."""
-    unsafe = safety(run)
-    if unsafe:
-        return SPLIT_BRAIN, unsafe
-    if (run.deadlocked or run.step_limited or not success(run)
-            or (progress is not None and progress(run))):
-        return WEDGED, []
-    return TOLERANT, []
-
-
-def make_classifier(
-    safety: Checker,
-    success: Callable[[RunResult], bool],
-) -> Callable[[RunResult], str]:
-    """A run → label function for :func:`search_joint_plans` (no
-    progress oracle: the search's candidate plans carry their own heal
-    schedules, and wedging *before* the heal already defeats)."""
-    def classify(run: RunResult) -> str:
-        return classify_run(run, safety, success)[0]
-
-    return classify
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +64,22 @@ def _compose(*checkers: Checker) -> Checker:
         return out
 
     return check
+
+
+#: The restart lock's safety battery: fencing at the resource and lease
+#: exclusion.
+_restart_safety = _compose(check_fencing, check_lease_exclusion)
+
+
+def _restart_lock(cluster: int, fencing: bool):
+    """The crash-restart-under-partition lock at ``cluster`` servers."""
+    from ..problems.distributed import build_restart_lock
+
+    def build(policy, netplan, fault_plan):
+        return build_restart_lock(policy, netplan, fault_plan,
+                                  servers=cluster, fencing=fencing)
+
+    return build
 
 
 def _member_names(cluster: int) -> List[str]:
@@ -234,13 +98,11 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
     from ..problems.distributed import (build_lamport_mutex,
                                         build_leader_election,
                                         build_quorum_lock,
-                                        build_restart_lock,
                                         restart_server_names)
     if cluster < 3:
         raise ValueError("resilience scenarios need >= 3 nodes")
     members = _member_names(cluster)
     servers = restart_server_names(cluster)
-    majority_down = cluster - (cluster // 2 + 1)  # killable replicas
 
     def lamport(policy, netplan, fault_plan):
         return build_lamport_mutex(policy, netplan, fault_plan,
@@ -261,11 +123,6 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
                                  deadline=160, duration=30,
                                  servers=servers)
 
-    def quorum_ok(run: RunResult) -> bool:
-        return any(
-            isinstance(run.results.get(c), dict)
-            and run.results[c].get("locked") for c in ("c0", "c1"))
-
     def election(policy, netplan, fault_plan):
         return build_leader_election(policy, netplan, fault_plan,
                                      deadline=140, nodes=members)
@@ -278,19 +135,6 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
             isinstance(run.results.get(n), dict)
             and run.results[n].get("leader")
             for n in members if n not in killed)
-
-    def restart(policy, netplan, fault_plan):
-        return build_restart_lock(policy, netplan, fault_plan,
-                                  servers=cluster, fencing=True)
-
-    def restart_unfenced(policy, netplan, fault_plan):
-        return build_restart_lock(policy, netplan, fault_plan,
-                                  servers=cluster, fencing=False)
-
-    def restart_ok(run: RunResult) -> bool:
-        return any(
-            isinstance(run.results.get(c), dict)
-            and run.results[c].get("locked") for c in ("c0", "c1"))
 
     # The canonical combined fault against the restart lock: kill the
     # holder mid-write-session, with a partition that opens just before
@@ -315,7 +159,8 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
              FaultPlan().kill(members[1], at_time=10),
              WEDGED, ()),
         ]),
-        ("quorum_lock", quorum, check_lease_exclusion, quorum_ok, [
+        ("quorum_lock", quorum, check_lease_exclusion,
+         quorum_lock_succeeded, [
             ("clean", None, None, TOLERANT, ()),
             # A minority of replicas crash AND a client is cut off: the
             # surviving majority keeps granting, the stranded client
@@ -335,9 +180,8 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
              FaultPlan().kill(members[0], at_time=30),
              TOLERANT, ("leader_elected", "leader_stepdown")),
         ]),
-        ("restart_lock",
-         restart, _compose(check_fencing, check_lease_exclusion),
-         restart_ok, [
+        ("restart_lock", _restart_lock(cluster, True), _restart_safety,
+         quorum_lock_succeeded, [
             ("clean", None, None, TOLERANT, ()),
             ("crash-restart", None, crash_only, TOLERANT, ()),
             ("partition-heal", cut_only, None, TOLERANT, ()),
@@ -346,9 +190,8 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
             ("crash+partition", combo_np, combo_fp, TOLERANT,
              ("lease_acquired",)),
         ]),
-        ("restart_lock_unfenced",
-         restart_unfenced, _compose(check_fencing, check_lease_exclusion),
-         restart_ok, [
+        ("restart_lock_unfenced", _restart_lock(cluster, False),
+         _restart_safety, quorum_lock_succeeded, [
             # Identical faults, fencing off: the stale holder's writes
             # interleave with the new holder's — split-brain.
             ("crash+partition", combo_np2, combo_fp2, SPLIT_BRAIN, ()),
@@ -360,81 +203,16 @@ def _majority_note(cluster: int) -> int:
     return cluster // 2 + 1
 
 
-# ----------------------------------------------------------------------
-# Exploration
-# ----------------------------------------------------------------------
-def explore_resilience_scenario(
-    name: str,
-    build: CombinedBuilder,
-    safety: Checker,
-    success: Callable[[RunResult], bool],
-    cells: List[CombinedCell],
-    cluster: int,
-    max_runs_per_cell: int = 3,
-    max_depth: int = 40,
-) -> ResilienceScenarioResult:
-    """Explore one scenario under every combined-fault cell."""
-    result = ResilienceScenarioResult(name=name, cluster=cluster)
-    for cell_name, netplan, fault_plan, expected, heal_kinds in cells:
-        outcome = CombinedOutcome(
-            cell_name=cell_name, netplan=netplan, fault_plan=fault_plan,
-            expected=expected)
-        progress = make_progress_after_heal(
-            netplan or NetPlan(), progress_kinds=heal_kinds)
-
-        def run_one(policy: ScriptedPolicy) -> RunResult:
-            try:
-                return build(policy, netplan, fault_plan)
-            except StepLimitExceeded as exc:
-                trace = Trace()
-                for ev in exc.recent_events or []:
-                    trace.append(ev)
-                return RunResult(trace=trace, step_limited=True,
-                                 ready=list(exc.ready or []))
-
-        def tally(run: RunResult) -> List[str]:
-            outcome.runs += 1
-            label, unsafe = classify_run(run, safety, success, progress)
-            if label == SPLIT_BRAIN:
-                outcome.split_brain += 1
-                outcome.violations.extend(unsafe)
-            elif label == WEDGED:
-                outcome.wedged += 1
-            else:
-                outcome.tolerant += 1
-            mttr = compute_partition_mttr(run)
-            for span in mttr.spans:
-                if span.ticks_to_failover is not None:
-                    outcome.failover_samples.append(span.ticks_to_failover)
-                if span.ticks_to_post_heal is not None:
-                    outcome.post_heal_samples.append(
-                        span.ticks_to_post_heal)
-            avail = compute_availability(run)
-            if avail.intervals:
-                # Scenarios with no lease/leader service notion (lamport)
-                # contribute no sample rather than a meaningless 0%.
-                outcome.availability_samples.append(avail.fraction)
-            outcome.restarts = max(
-                outcome.restarts,
-                len(run.trace.filter(kind="restart")))
-            net = getattr(run, "network_stats", None)
-            if net:
-                for key, val in net.items():
-                    if isinstance(val, dict):
-                        gauges = outcome.message_stats.setdefault(key, {})
-                        for node, peak in val.items():
-                            if peak > gauges.get(node, 0):
-                                gauges[node] = peak
-                    else:
-                        outcome.message_stats[key] = (
-                            outcome.message_stats.get(key, 0) + val)
-            return []
-
-        ExplorationEngine(
-            run_one, max_runs=max_runs_per_cell, max_depth=max_depth,
-        ).explore(tally)
-        result.outcomes.append(outcome)
-    return result
+def _fold_service(cell: Cell, run: RunResult) -> None:
+    """The partition fold plus availability and the run's restart count
+    (the cell reports the most restarts any run saw)."""
+    fold_network(cell, run)
+    avail = compute_availability(run)
+    if avail.intervals:
+        # Scenarios with no lease/leader service notion (lamport)
+        # contribute no sample rather than a meaningless 0%.
+        cell.sample("availability", avail.fraction)
+    cell.sample("restarts", len(run.trace.filter(kind="restart")))
 
 
 # ----------------------------------------------------------------------
@@ -443,38 +221,27 @@ def explore_resilience_scenario(
 def search_restart_witness(
     cluster: int = RESILIENCE_CLUSTER,
     budget: int = 40,
-) -> Tuple[JointSearchResult, str]:
+) -> Tuple[SearchResult, str]:
     """Search the crash × partition product space against the *unfenced*
     restart lock; then replay the minimized witness against the fenced
     variant.  Returns ``(search result, fenced label)`` — the acceptance
     pair: a ≤2-fault split-brain witness unfenced, ``partition-tolerant``
-    with fencing on under the very same faults."""
-    from ..problems.distributed import build_restart_lock
-    safety = _compose(check_fencing, check_lease_exclusion)
+    with fencing on under the very same faults.  Runs are classified
+    without a progress oracle: the candidate plans carry their own heal
+    schedules, and wedging *before* the heal already defeats."""
+    def classify(run: RunResult) -> str:
+        return classify_run(run, _restart_safety, quorum_lock_succeeded)[0]
 
-    def success(run: RunResult) -> bool:
-        return any(
-            isinstance(run.results.get(c), dict)
-            and run.results[c].get("locked") for c in ("c0", "c1"))
-
-    def unfenced(policy, netplan, fault_plan):
-        return build_restart_lock(policy, netplan, fault_plan,
-                                  servers=cluster, fencing=False)
-
-    def fenced(policy, netplan, fault_plan):
-        return build_restart_lock(policy, netplan, fault_plan,
-                                  servers=cluster, fencing=True)
-
-    classify = make_classifier(safety, success)
     crashes = [CrashSpec("c0", at_time=t) for t in (12, 14, 16)]
     cuts = [CutSpec("c0", at=a, heal_at=70) for a in (10, 12)]
     found = search_joint_plans(
-        unfenced, classify, crashes, cuts,
+        _restart_lock(cluster, False), classify, crashes, cuts,
         bad_labels=(SPLIT_BRAIN,), max_faults=2, budget=budget)
     fenced_label = ""
     if found.witness is not None:
-        fp, np = found.witness_plans()
-        fenced_label = classify(fenced(ScriptedPolicy([]), np, fp))
+        fp, np = joint_plan(found.witness)
+        fenced_label = classify(
+            _restart_lock(cluster, True)(ScriptedPolicy([]), np, fp))
     return found, fenced_label
 
 
@@ -484,32 +251,24 @@ def search_restart_witness(
 def resilience_report(
     fast: bool = False,
     cluster: int = RESILIENCE_CLUSTER,
-) -> Tuple[List[ResilienceScenarioResult], str]:
+) -> Tuple[List[Campaign], str]:
     """Run every scenario × combined-fault cell; return (results, table)."""
     budget = 1 if fast else 3
-    results = []
-    for name, build, safety, success, cells in resilience_scenarios(
-            cluster):
-        results.append(explore_resilience_scenario(
-            name, build, safety, success, cells, cluster,
-            max_runs_per_cell=budget,
-        ))
-    rows = []
-    for res in results:
-        for o in res.outcomes:
-            rows.append([
-                res.name,
-                o.cell_name,
-                str(o.runs),
-                str(o.restarts),
-                ("-" if o.mttr_failover is None
-                 else "{:.1f}".format(o.mttr_failover)),
-                ("-" if o.mttr_post_heal is None
-                 else "{:.1f}".format(o.mttr_post_heal)),
-                ("-" if o.availability is None
-                 else "{:.0%}".format(o.availability)),
-                o.classification,
-            ])
+    results = [
+        explore_dist_scenario(name, build, safety, success, cells,
+                              max_runs_per_cell=budget, fold=_fold_service)
+        for name, build, safety, success, cells
+        in resilience_scenarios(cluster)
+    ]
+    rows = [
+        [res.name, o.cell_name, str(o.runs), str(restarts(o)),
+         format_ticks(o.mean("failover")),
+         format_ticks(o.mean("post_heal")),
+         ("-" if o.mean("availability") is None
+          else "{:.0%}".format(o.mean("availability"))),
+         o.classification]
+        for res in results for o in res.outcomes
+    ]
     table = ascii_table(
         ["scenario", "faults", "runs", "restarts", "failover mttr",
          "post-heal mttr", "availability", "classification"],
@@ -519,6 +278,11 @@ def resilience_report(
                   cluster, _majority_note(cluster)),
     )
     return results, table
+
+
+def restarts(cell: Cell) -> int:
+    """The most restarts any explored run of ``cell`` performed."""
+    return max(cell.samples.get("restarts", ()), default=0)
 
 
 def expected_resilience_classifications(

@@ -1,6 +1,6 @@
 """Joint fault-plan search: crash × partition witnesses, ddmin-minimized.
 
-:mod:`repro.recover.search` searches kill sets; the partition report
+The recovery layer searches kill sets; the partition report
 sweeps hand-written :class:`NetPlan` cells.  The interesting bugs live in
 the *product* space — a crash alone is survivable (the supervisor
 restarts, the renewal succeeds) and a partition alone is survivable (the
@@ -16,26 +16,26 @@ fault sets over two atom types:
 
 A candidate set compiles to a ``(FaultPlan, NetPlan)`` pair via
 :func:`joint_plan` — both serializable (``to_dict``) so a found witness
-can be persisted and replayed exactly.  The first defeating set is
-ddmin-minimized with the same chunk-halving loop the kill-set and
-decision-string minimizers use, yielding a 1-minimal combined witness:
-remove any single fault and the bad outcome disappears.
+can be persisted and replayed exactly.  The search itself is the
+campaign kernel's (:func:`repro.verify.campaign.search_plans`): the first
+defeating set is ddmin-minimized to a 1-minimal combined witness — remove
+any single fault and the bad outcome disappears.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from ..dist import NetPlan
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult
+from ..verify.campaign import SearchResult, search_plans
 
 __all__ = [
-    "CrashSpec", "CutSpec", "JointFault", "joint_plan",
-    "JointSearchResult", "search_joint_plans", "minimize_joint_set",
+    "CrashSpec", "CutSpec", "JointFault", "joint_plan", "describe_joint",
+    "search_joint_plans", "witness_payload",
 ]
 
 #: A dist builder under both plans: (policy, netplan, fault plan) -> run.
@@ -98,74 +98,6 @@ def describe_joint(faults: Sequence[JointFault]) -> str:
     return "; ".join(f.describe() for f in faults)
 
 
-@dataclass
-class JointSearchResult:
-    """Outcome of :func:`search_joint_plans`."""
-
-    tried: int = 0
-    #: Every defeating set found: (fault set, classification label).
-    defeating: List[Tuple[Tuple[JointFault, ...], str]] = field(
-        default_factory=list)
-    #: ddmin-minimized fault set of the first defeating plan (None when
-    #: the scenario tolerated everything tried).
-    witness: Optional[Tuple[JointFault, ...]] = None
-    witness_label: Optional[str] = None
-    minimize_tests: int = 0
-
-    @property
-    def witness_kills(self) -> int:
-        if self.witness is None:
-            return 0
-        return sum(1 for f in self.witness if isinstance(f, CrashSpec))
-
-    @property
-    def witness_cuts(self) -> int:
-        if self.witness is None:
-            return 0
-        return sum(1 for f in self.witness if isinstance(f, CutSpec))
-
-    def witness_plans(self):
-        """The witness compiled to its replayable ``(FaultPlan,
-        NetPlan)`` pair."""
-        if self.witness is None:
-            return None, None
-        return joint_plan(self.witness)
-
-    def describe(self) -> str:
-        if self.witness is None:
-            return ("no combined fault plan defeated the scenario "
-                    "({} tried)".format(self.tried))
-        return "minimal combined witness ({}): {}".format(
-            self.witness_label, describe_joint(self.witness))
-
-    def to_dict(self) -> dict:
-        fp, np = self.witness_plans()
-        return {
-            "tried": self.tried,
-            "defeating": len(self.defeating),
-            "witness": (None if self.witness is None
-                        else [f.describe() for f in self.witness]),
-            "witness_label": self.witness_label,
-            "witness_kills": self.witness_kills,
-            "witness_cuts": self.witness_cuts,
-            "witness_fault_plan": None if fp is None else fp.to_dict(),
-            "witness_net_plan": None if np is None else np.to_dict(),
-            "minimize_tests": self.minimize_tests,
-        }
-
-
-def _joint_defeats(
-    build: JointBuilder,
-    classify: Classifier,
-    faults: Sequence[JointFault],
-    bad_labels: Sequence[str],
-) -> Optional[str]:
-    """The label a fault set earns, or ``None`` when the run ends well."""
-    fault_plan, netplan = joint_plan(faults)
-    label = classify(build(ScriptedPolicy([]), netplan, fault_plan))
-    return label if label in bad_labels else None
-
-
 def search_joint_plans(
     build: JointBuilder,
     classify: Classifier,
@@ -174,72 +106,39 @@ def search_joint_plans(
     bad_labels: Sequence[str] = ("split-brain", "wedged"),
     max_faults: int = 2,
     budget: int = 120,
-    minimize: bool = True,
-) -> JointSearchResult:
+) -> SearchResult:
     """Search 1..``max_faults``-sized mixed sets over the candidate atoms;
     ddmin-minimize the first one that defeats the scenario.
 
     Candidates are enumerated deterministically, singletons first (so the
     search itself proves no single fault suffices before trying pairs),
-    crashes before cuts within each size.
+    crashes before cuts within each size.  Each set runs once under the
+    FIFO schedule.
     """
-    atoms: List[JointFault] = list(crashes) + list(cuts)
-    result = JointSearchResult()
-    for size in range(1, max_faults + 1):
-        for combo in itertools.combinations(atoms, size):
-            if result.tried >= budget:
-                break
-            result.tried += 1
-            label = _joint_defeats(build, classify, combo, bad_labels)
-            if label is not None:
-                result.defeating.append((combo, label))
-        if result.tried >= budget:
-            break
-    if result.defeating and minimize:
-        faults, label = result.defeating[0]
-        witness, tests = minimize_joint_set(
-            build, classify, faults, bad_labels)
-        result.witness = witness
-        result.witness_label = label
-        result.minimize_tests = tests
-    return result
+    def defeats(faults: Tuple[JointFault, ...]) -> Optional[str]:
+        fault_plan, netplan = joint_plan(faults)
+        label = classify(build(ScriptedPolicy([]), netplan, fault_plan))
+        return label if label in bad_labels else None
+
+    return search_plans(list(crashes) + list(cuts), defeats,
+                        max_size=max_faults, budget=budget)
 
 
-def minimize_joint_set(
-    build: JointBuilder,
-    classify: Classifier,
-    faults: Sequence[JointFault],
-    bad_labels: Sequence[str] = ("split-brain", "wedged"),
-) -> Tuple[Tuple[JointFault, ...], int]:
-    """ddmin over the mixed fault set: (1-minimal set, tests run).
-
-    1-minimal: removing any single remaining fault — crash *or* cut —
-    makes the bad outcome disappear, so every fault in the witness is
-    load-bearing across both fault domains.
-    """
-    tests = 0
-
-    def still_bad(subset: Sequence[JointFault]) -> bool:
-        nonlocal tests
-        if not subset:
-            return False
-        tests += 1
-        return _joint_defeats(build, classify, subset, bad_labels) is not None
-
-    current = list(faults)
-    chunks = 2
-    while len(current) >= 2:
-        size = max(1, len(current) // chunks)
-        reduced = False
-        for start in range(0, len(current), size):
-            candidate = current[:start] + current[start + size:]
-            if still_bad(candidate):
-                current = candidate
-                chunks = max(chunks - 1, 2)
-                reduced = True
-                break
-        if not reduced:
-            if size == 1:
-                break
-            chunks = min(chunks * 2, len(current))
-    return tuple(current), tests
+def witness_payload(found: SearchResult) -> dict:
+    """The ``--json`` form of a joint search: the witness with its kill
+    and cut counts and its replayable ``(FaultPlan, NetPlan)`` pair."""
+    witness = found.witness
+    fp, np = (None, None) if witness is None else joint_plan(witness)
+    return {
+        "tried": found.tried,
+        "defeating": len(found.defeating),
+        "witness": (None if witness is None
+                    else [f.describe() for f in witness]),
+        "witness_label": found.witness_label,
+        "witness_kills": sum(isinstance(f, CrashSpec)
+                             for f in witness or ()),
+        "witness_cuts": sum(isinstance(f, CutSpec) for f in witness or ()),
+        "witness_fault_plan": None if fp is None else fp.to_dict(),
+        "witness_net_plan": None if np is None else np.to_dict(),
+        "minimize_tests": found.minimize_tests,
+    }

@@ -1,28 +1,24 @@
-"""Verification layer (S9): trace oracles, the schedule explorer, and
-chaos (fault-injection) exploration.
+"""Verification layer (S9): trace oracles and the fault campaigns (chaos,
+recovery, partition) over the fault-campaign kernel
+(:mod:`repro.verify.campaign`).
 
 The schedule-space search engine itself lives in :mod:`repro.explore`
-(pruning, parallel frontier, minimization, detectors);
-:class:`ScheduleExplorer` here is its naive-DFS compatibility face."""
+(pruning, parallel frontier, minimization, detectors)."""
 
 from ..explore.detectors import (
     ConflictingAccessChecker,
     LostWakeupChecker,
     compose_checkers,
 )
+from .campaign import Campaign, Cell, SearchResult, Vocabulary, ddmin
 from .chaos import (
-    ChaosResult,
     FaultPoint,
-    PointOutcome,
     chaos_explore,
     classify_run,
     enumerate_fault_points,
     robustness_report,
 )
-from .explorer import ExplorationResult, ScheduleExplorer
 from .recovery import (
-    RecoveryOutcome,
-    RecoveryResult,
     classify_recovery_run,
     exclusion_oracle,
     expected_recovery,
@@ -73,16 +69,16 @@ __all__ = [
     "ConflictingAccessChecker",
     "LostWakeupChecker",
     "compose_checkers",
-    "ChaosResult",
-    "ExplorationResult",
+    "Campaign",
+    "Cell",
+    "SearchResult",
+    "Vocabulary",
+    "ddmin",
     "FaultPoint",
-    "PointOutcome",
     "chaos_explore",
     "classify_run",
     "enumerate_fault_points",
     "robustness_report",
-    "RecoveryOutcome",
-    "RecoveryResult",
     "classify_recovery_run",
     "exclusion_oracle",
     "expected_recovery",
@@ -97,7 +93,6 @@ __all__ = [
     "starvation_report",
     "unserved_requests",
     "waiting_times",
-    "ScheduleExplorer",
     "check_alarm_wakeups",
     "check_alternation",
     "check_class_priority_two_stage",

@@ -1,6 +1,6 @@
 """Chaos exploration: fault injection composed with schedule exploration.
 
-The explorer (:mod:`repro.verify.explorer`) enumerates *schedules*; a
+The exploration engine (:mod:`repro.explore`) enumerates *schedules*; a
 :class:`~repro.runtime.faults.FaultPlan` injects *crashes*.  This module
 composes the two: for every reachable fault point — each (victim, step)
 coordinate observed in a fault-free baseline run — it re-explores the
@@ -28,22 +28,24 @@ mechanism under test did about it:
 (all six of the paper's evaluation subjects plus the robust-semaphore
 variant) and renders the containment table shown by
 ``python -m repro robustness``.  The *recovery* layer
-(:mod:`repro.verify.recovery`) reuses this machinery with supervised
-scenarios and its own outcome labels (``recovered``/``degraded``/…).
+(:mod:`repro.verify.recovery`) runs the same kill campaigns
+(:func:`explore_kills`) over supervised scenarios with its own outcome
+labels (``recovered``/``degraded``/…); the cell tally, explore loop and
+search live in :mod:`repro.verify.campaign`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core import ascii_table
-from ..runtime.errors import StepLimitExceeded
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.scheduler import Scheduler
-from ..runtime.trace import RunResult, Trace
-from ..explore.engine import ExplorationEngine
+from ..runtime.trace import RunResult
+from .campaign import (MISSED, Campaign, Cell, Classify, Vocabulary,
+                       explore_cell)
 
 #: A builder runs one *fresh* system under (policy, fault plan) and returns
 #: the result; it must use ``on_deadlock="return"`` / ``on_error="record"``
@@ -58,6 +60,16 @@ PROPAGATING = "fault-propagating"
 DEADLOCKING = "fault-deadlocking"
 STEP_LIMITED = "step-limited"
 
+#: Worst first: one deadlocking schedule outranks any number of contained
+#: ones.
+VOCABULARY = Vocabulary(
+    precedence=(DEADLOCKING, PROPAGATING, STEP_LIMITED, CONTAINING),
+    columns=(("contained", CONTAINING), ("propagated", PROPAGATING),
+             ("deadlocked", DEADLOCKING), ("step_limited", STEP_LIMITED)),
+)
+#: Decisions beyond this depth take the default choice.
+MAX_DEPTH = 40
+
 
 @dataclass(frozen=True)
 class FaultPoint:
@@ -70,67 +82,12 @@ class FaultPoint:
         return "kill {} at step {}".format(self.process, self.step)
 
 
-@dataclass
-class PointOutcome:
-    """Aggregate over every explored schedule with one fault injected."""
-
-    point: FaultPoint
-    runs: int = 0
-    missed: int = 0  # schedules where the victim finished before the kill
-    contained: int = 0
-    propagated: int = 0
-    deadlocked: int = 0
-    step_limited: int = 0  # budget cutoffs while still runnable (livelock)
-    violations: List[str] = field(default_factory=list)
-
-
-@dataclass
-class ChaosResult:
-    """Outcome of :func:`chaos_explore` for one system under test."""
-
-    name: str
-    victim: str
-    outcomes: List[PointOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return sum(o.runs for o in self.outcomes)
-
-    @property
-    def contained(self) -> int:
-        return sum(o.contained for o in self.outcomes)
-
-    @property
-    def propagated(self) -> int:
-        return sum(o.propagated for o in self.outcomes)
-
-    @property
-    def deadlocked(self) -> int:
-        return sum(o.deadlocked for o in self.outcomes)
-
-    @property
-    def step_limited(self) -> int:
-        return sum(o.step_limited for o in self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(o.violations)
-        return out
-
-    @property
-    def classification(self) -> str:
-        """Worst observed behaviour, precedence deadlocking > propagating >
-        step-limited > containing — one bad schedule is enough to earn the
-        worse label."""
-        if self.deadlocked:
-            return DEADLOCKING
-        if self.propagated or self.violations:
-            return PROPAGATING
-        if self.step_limited:
-            return STEP_LIMITED
-        return CONTAINING
+def kill_plan(points: Sequence[FaultPoint]) -> FaultPlan:
+    """A :class:`FaultPlan` scripting every kill in ``points``."""
+    plan = FaultPlan()
+    for point in points:
+        plan.kill(point.process, at_step=point.step)
+    return plan
 
 
 def classify_run(
@@ -154,7 +111,7 @@ def classify_run(
         return STEP_LIMITED, []
     failures = run.failed()
     if victim not in failures:
-        return "missed", []
+        return MISSED, []
     if run.deadlocked:
         return DEADLOCKING, []
     extra = [name for name in failures if name != victim]
@@ -166,14 +123,61 @@ def classify_run(
     return CONTAINING, []
 
 
+def fault_points(baseline: RunResult, victim: str) -> List[FaultPoint]:
+    """One fault point per step ``victim`` takes in a fault-free
+    ``baseline`` run (the coordinate space ``RunResult.proc_steps``
+    records)."""
+    steps = baseline.proc_steps.get(victim, 0)
+    return [FaultPoint(victim, s) for s in range(steps)]
+
+
 def enumerate_fault_points(
     build: ChaosBuilder, victim: str
 ) -> List[FaultPoint]:
-    """Fault points for ``victim``: one per step it takes in a fault-free
-    baseline run (the coordinate space ``RunResult.proc_steps`` records)."""
-    baseline = build(ScriptedPolicy([]), None)
-    steps = baseline.proc_steps.get(victim, 0)
-    return [FaultPoint(victim, s) for s in range(steps)]
+    """Fault points for ``victim`` in a fault-free FIFO run of ``build``."""
+    return fault_points(build(ScriptedPolicy([]), None), victim)
+
+
+def explore_kills(
+    name: str,
+    build: ChaosBuilder,
+    victim: str,
+    vocabulary: Vocabulary,
+    classify: Classify,
+    max_depth: int,
+    max_runs_per_point: int,
+    max_points: Optional[int],
+) -> Campaign:
+    """A kill campaign: one cell per fault point of ``victim`` (the first
+    ``max_points`` of them), each a fresh kill plan explored over
+    ``max_runs_per_point`` schedules."""
+    points = enumerate_fault_points(build, victim)[:max_points]
+    result = Campaign(name=name, vocabulary=vocabulary, victim=victim)
+    for point in points:
+        plan = kill_plan([point])
+        result.outcomes.append(explore_cell(
+            Cell(point.describe(), vocabulary),
+            lambda policy, plan=plan: build(policy, plan),
+            classify, max_runs_per_point, max_depth,
+        ))
+    return result
+
+
+def kill_table(results: List[Campaign], vocabulary: Vocabulary,
+               first: str, title: str) -> str:
+    """One row per kill campaign: fault points, runs, label counts and the
+    verdict."""
+    rows = [
+        [res.name, str(len(res.outcomes)), str(res.runs)]
+        + [str(n) for n in res.tally().values()]
+        + [res.classification]
+        for res in results
+    ]
+    return ascii_table(
+        [first, "fault points", "runs"] + vocabulary.headers
+        + ["classification"],
+        rows, title=title,
+    )
 
 
 def chaos_explore(
@@ -182,65 +186,20 @@ def chaos_explore(
     victim: str,
     check: Optional[Checker] = None,
     max_runs_per_point: int = 25,
-    max_depth: int = 40,
     max_points: Optional[int] = None,
-    prune: bool = False,
-) -> ChaosResult:
+) -> Campaign:
     """Inject a kill at every reachable fault point; explore schedules.
 
     For each :class:`FaultPoint` a fresh :class:`FaultPlan` kills ``victim``
     at that step, and the exploration engine (budget
     ``max_runs_per_point``) varies the interleaving around the crash.  Every
-    run is classified via :func:`classify_run` and aggregated.  ``prune``
-    enables canonical-fingerprint equivalence pruning
-    (:mod:`repro.explore`): per-point coverage goes further on the same
-    budget, at the cost of per-run classification counts no longer being
-    comparable with unpruned runs (equivalent schedules collapse).
+    run is classified via :func:`classify_run` and aggregated.
     """
-    points = enumerate_fault_points(build, victim)
-    if max_points is not None:
-        points = points[:max_points]
-    result = ChaosResult(name=name, victim=victim)
-    for point in points:
-        plan = FaultPlan().kill(point.process, at_step=point.step)
-        outcome = PointOutcome(point=point)
-
-        def run_one(policy: ScriptedPolicy) -> RunResult:
-            try:
-                return build(policy, plan)
-            except StepLimitExceeded as exc:
-                # Builder used on_steplimit="raise": reconstruct a result
-                # from the exception's diagnostics so the run still counts.
-                trace = Trace()
-                for ev in exc.recent_events or []:
-                    trace.append(ev)
-                return RunResult(
-                    trace=trace, step_limited=True,
-                    ready=list(exc.ready or []),
-                )
-
-        def tally(run: RunResult) -> List[str]:
-            outcome.runs += 1
-            label, messages = classify_run(run, victim, check)
-            if label == "missed":
-                outcome.missed += 1
-            elif label == DEADLOCKING:
-                outcome.deadlocked += 1
-            elif label == PROPAGATING:
-                outcome.propagated += 1
-                outcome.violations.extend(messages)
-            elif label == STEP_LIMITED:
-                outcome.step_limited += 1
-            else:
-                outcome.contained += 1
-            return []  # classification is aggregated, not a "violation"
-
-        ExplorationEngine(
-            run_one, max_runs=max_runs_per_point, max_depth=max_depth,
-            prune=prune,
-        ).explore(tally)
-        result.outcomes.append(outcome)
-    return result
+    return explore_kills(
+        name, build, victim, VOCABULARY,
+        lambda run: classify_run(run, victim, check),
+        MAX_DEPTH, max_runs_per_point, max_points,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +410,7 @@ SCENARIOS = [
 
 def robustness_report(
     fast: bool = False,
-) -> Tuple[List[ChaosResult], str]:
+) -> Tuple[List[Campaign], str]:
     """Run every per-mechanism chaos scenario; return (results, table).
 
     ``fast`` trims the schedule budget per fault point (for CI tier-1);
@@ -459,34 +418,15 @@ def robustness_report(
     """
     budget = 6 if fast else 25
     max_points = 4 if fast else None
-    results = []
-    for name, factory, victim, check, __ in SCENARIOS:
-        results.append(chaos_explore(
-            name,
-            factory(),
-            victim,
-            check=check,
-            max_runs_per_point=budget,
-            max_points=max_points,
-        ))
-    rows = []
-    for res in results:
-        rows.append([
-            res.name,
-            str(len(res.outcomes)),
-            str(res.runs),
-            str(res.contained),
-            str(res.propagated),
-            str(res.deadlocked),
-            str(res.step_limited),
-            res.classification,
-        ])
-    table = ascii_table(
-        ["mechanism", "fault points", "runs", "contained", "propagated",
-         "deadlocked", "step-limited", "classification"],
-        rows,
-        title="Fault containment by mechanism (one kill per point, "
-              "schedules explored per point)",
+    results = [
+        chaos_explore(name, factory(), victim, check=check,
+                      max_runs_per_point=budget, max_points=max_points)
+        for name, factory, victim, check, __ in SCENARIOS
+    ]
+    table = kill_table(
+        results, VOCABULARY, "mechanism",
+        "Fault containment by mechanism (one kill per point, "
+        "schedules explored per point)",
     )
     return results, table
 

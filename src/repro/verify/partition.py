@@ -11,10 +11,12 @@ Safety oracles over the dist layer's trace vocabulary:
 * :func:`check_mutex_intervals` — classic mutual exclusion over
   ``cs_enter``/``cs_exit`` pairs in trace order (for scenarios without a
   fencing horizon, e.g. Lamport mutex).
-* :func:`check_progress_after_heal` — the liveness half: once every
+* :func:`make_progress_after_heal` — the liveness half: once every
   scripted partition healed, some resumption event must follow.
 
-:func:`partition_report` composes them with the exploration engine: every
+:func:`partition_report` composes them with the fault-campaign kernel
+(:mod:`repro.verify.campaign`) through :func:`explore_dist_scenario`,
+which the resilience report shares: every
 scenario × :class:`~repro.dist.netplan.NetPlan` schedule is explored over
 interleavings, each run classified as **split-brain** (safety violated),
 **wedged** (safe but stuck: deadlocked, step-limited, or no post-heal
@@ -27,16 +29,14 @@ scenarios stay tolerant because a majority side keeps the service up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import ascii_table
 from ..dist import NetPlan
-from ..runtime.errors import StepLimitExceeded
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult, Trace
-from ..explore.engine import ExplorationEngine
+from .campaign import Campaign, Cell, Fold, Vocabulary, explore_cell
 
 # The scenario builders are imported lazily (inside the predicates and
 # the scenario table): problems.distributed reaches back here through
@@ -50,6 +50,15 @@ Checker = Callable[[RunResult], List[str]]
 SPLIT_BRAIN = "split-brain"
 WEDGED = "wedged"
 TOLERANT = "partition-tolerant"
+
+#: Shared by the partition and resilience reports.
+VOCABULARY = Vocabulary(
+    precedence=(SPLIT_BRAIN, WEDGED, TOLERANT),
+    columns=(("split_brain", SPLIT_BRAIN), ("wedged", WEDGED),
+             ("tolerant", TOLERANT)),
+)
+#: Decisions beyond this depth take the default choice.
+MAX_DEPTH = 40
 
 
 # ----------------------------------------------------------------------
@@ -227,216 +236,145 @@ def election_succeeded(run: RunResult) -> bool:
 # ----------------------------------------------------------------------
 # Scenario × plan exploration
 # ----------------------------------------------------------------------
-@dataclass
-class PlanOutcome:
-    """Aggregate over explored schedules for one (scenario, plan) cell."""
-
-    plan_name: str
-    plan: NetPlan
-    expected: str
-    runs: int = 0
-    split_brain: int = 0
-    wedged: int = 0
-    tolerant: int = 0
-    violations: List[str] = field(default_factory=list)
-    failover_samples: List[int] = field(default_factory=list)
-    post_heal_samples: List[int] = field(default_factory=list)
-    message_stats: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def classification(self) -> str:
-        if self.split_brain:
-            return SPLIT_BRAIN
-        if self.wedged:
-            return WEDGED
-        return TOLERANT
-
-    @property
-    def mttr_failover(self) -> Optional[float]:
-        if not self.failover_samples:
-            return None
-        return sum(self.failover_samples) / float(
-            len(self.failover_samples))
-
-    @property
-    def mttr_post_heal(self) -> Optional[float]:
-        if not self.post_heal_samples:
-            return None
-        return sum(self.post_heal_samples) / float(
-            len(self.post_heal_samples))
-
-
-@dataclass
-class PartitionScenarioResult:
-    """Every plan cell of one scenario."""
-
-    name: str
-    outcomes: List[PlanOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return sum(o.runs for o in self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(o.violations)
-        return out
-
-    @property
-    def surprises(self) -> List[str]:
-        """Cells whose classification differs from the predicted one."""
-        return [
-            "{} under {}: expected {}, observed {}".format(
-                self.name, o.plan_name, o.expected, o.classification)
-            for o in self.outcomes if o.classification != o.expected
-        ]
-
-    @property
-    def mttr_failover(self) -> Optional[float]:
-        """Scenario-level failover MTTR: mean over every plan cell's
-        samples (not a mean of means — cells contribute their weight)."""
-        samples = [s for o in self.outcomes for s in o.failover_samples]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-    @property
-    def mttr_post_heal(self) -> Optional[float]:
-        """Scenario-level post-heal MTTR over every plan cell's samples."""
-        samples = [s for o in self.outcomes for s in o.post_heal_samples]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-
-def explore_partition_scenario(
-    name: str,
-    build: DistBuilder,
-    plans: List["PlanCell"],
+def classify_run(
+    run: RunResult,
     safety: Checker,
     success: Callable[[RunResult], bool],
-    max_runs_per_plan: int = 6,
-    max_depth: int = 40,
-) -> PartitionScenarioResult:
-    """Explore one scenario under every plan; classify every run.
+    progress: Optional[Checker] = None,
+) -> Tuple[str, List[str]]:
+    """One run's label and any safety-violation messages, precedence
+    split-brain > wedged > tolerant: unsafe runs are split-brain; safe
+    runs that deadlocked, hit the step budget, did not get the job done
+    or made no progress after the heal are wedged."""
+    unsafe = safety(run)
+    if unsafe:
+        return SPLIT_BRAIN, unsafe
+    if (run.deadlocked or run.step_limited or not success(run)
+            or (progress is not None and progress(run))):
+        return WEDGED, []
+    return TOLERANT, []
 
-    One :class:`NetPlan` instance is reused across explored runs — the
-    network's ``begin()`` resets its fired/announced state each run, the
-    same replay contract :class:`~repro.runtime.faults.FaultPlan` has.
-    """
+
+def fold_network(cell: Cell, run: RunResult) -> None:
+    """Fold one run's partition MTTR spans and network counters into
+    ``cell``: ``failover``/``post_heal`` samples in virtual ticks, message
+    counts summed, per-node gauges (``inbox_peak``) max-merged so the
+    cell reports the worst backlog any run saw."""
     from ..obs.recovery import compute_partition_mttr
 
-    result = PartitionScenarioResult(name=name)
-    for plan_name, plan, expected, heal_kinds in plans:
-        outcome = PlanOutcome(plan_name=plan_name, plan=plan,
-                              expected=expected)
-        progress = make_progress_after_heal(plan,
-                                            progress_kinds=heal_kinds)
-
-        def run_one(policy: ScriptedPolicy) -> RunResult:
-            try:
-                return build(policy, plan, None)
-            except StepLimitExceeded as exc:
-                trace = Trace()
-                for ev in exc.recent_events or []:
-                    trace.append(ev)
-                return RunResult(trace=trace, step_limited=True,
-                                 ready=list(exc.ready or []))
-
-        def tally(run: RunResult) -> List[str]:
-            outcome.runs += 1
-            unsafe = safety(run)
-            if unsafe:
-                outcome.split_brain += 1
-                outcome.violations.extend(unsafe)
-            elif (run.deadlocked or run.step_limited
-                  or not success(run) or progress(run)):
-                outcome.wedged += 1
+    for span in compute_partition_mttr(run).spans:
+        if span.ticks_to_failover is not None:
+            cell.sample("failover", span.ticks_to_failover)
+        if span.ticks_to_post_heal is not None:
+            cell.sample("post_heal", span.ticks_to_post_heal)
+    net = getattr(run, "network_stats", None)
+    if net:
+        stats = cell.message_stats
+        for key, val in net.items():
+            if isinstance(val, dict):
+                gauges = stats.setdefault(key, {})
+                for node, peak in val.items():
+                    if peak > gauges.get(node, 0):
+                        gauges[node] = peak
             else:
-                outcome.tolerant += 1
-            mttr = compute_partition_mttr(run)
-            for span in mttr.spans:
-                if span.ticks_to_failover is not None:
-                    outcome.failover_samples.append(span.ticks_to_failover)
-                if span.ticks_to_post_heal is not None:
-                    outcome.post_heal_samples.append(
-                        span.ticks_to_post_heal)
-            net = getattr(run, "network_stats", None)
-            if net:
-                for key, val in net.items():
-                    if isinstance(val, dict):
-                        # Gauge dicts (per-node inbox_peak): max-merge so
-                        # the plan reports the worst backlog any run saw.
-                        gauges = outcome.message_stats.setdefault(key, {})
-                        for node, peak in val.items():
-                            if peak > gauges.get(node, 0):
-                                gauges[node] = peak
-                    else:
-                        outcome.message_stats[key] = (
-                            outcome.message_stats.get(key, 0) + val)
-            return []
+                stats[key] = stats.get(key, 0) + val
 
-        ExplorationEngine(
-            run_one, max_runs=max_runs_per_plan, max_depth=max_depth,
-        ).explore(tally)
-        result.outcomes.append(outcome)
+
+#: A fault cell: (label, netplan, fault plan, expected classification,
+#: post-heal evidence — the event kinds whose appearance after the heal
+#: tick proves the cut side reintegrated; empty = nothing to prove).
+FaultCell = Tuple[str, Optional[NetPlan], Optional[FaultPlan], str,
+                  Tuple[str, ...]]
+
+
+def explore_dist_scenario(
+    name: str,
+    build: DistBuilder,
+    safety: Checker,
+    success: Callable[[RunResult], bool],
+    cells: List[FaultCell],
+    max_runs_per_cell: int,
+    fold: Fold = fold_network,
+) -> Campaign:
+    """Explore one scenario under every fault cell; classify every run
+    with :func:`classify_run` and fold its measurements with ``fold``.
+
+    One plan instance is reused across explored runs — the network's
+    ``begin()`` resets its fired/announced state each run, the same replay
+    contract :class:`~repro.runtime.faults.FaultPlan` has.
+    """
+    result = Campaign(name=name, vocabulary=VOCABULARY)
+    for cell_name, netplan, fault_plan, expected, heal_kinds in cells:
+        faults: List[str] = []
+        if fault_plan is not None:
+            faults.extend(fault_plan.describe())
+        if netplan is not None:
+            faults.extend(netplan.describe())
+        progress = make_progress_after_heal(
+            netplan or NetPlan(), progress_kinds=heal_kinds)
+        result.outcomes.append(explore_cell(
+            Cell(cell_name, VOCABULARY, faults=faults, expected=expected),
+            lambda policy, np=netplan, fp=fault_plan: build(policy, np, fp),
+            lambda run, p=progress: classify_run(run, safety, success, p),
+            max_runs_per_cell, MAX_DEPTH, fold,
+        ))
     return result
+
+
+def format_ticks(value: Optional[float]) -> str:
+    return "-" if value is None else "{:.1f}".format(value)
 
 
 # ----------------------------------------------------------------------
 # The standard scenario × plan table
 # ----------------------------------------------------------------------
-#: Plan cell: (label, plan, expected classification, post-heal evidence —
-#: the event kinds whose appearance after the heal tick proves the cut
-#: side reintegrated; empty = nothing to prove).
-PlanCell = Tuple[str, NetPlan, str, Tuple[str, ...]]
-
-
-def _lamport_plans() -> List[PlanCell]:
+def _lamport_plans() -> List[FaultCell]:
     return [
-        ("clean", NetPlan(), TOLERANT, ()),
+        ("clean", NetPlan(), None, TOLERANT, ()),
         ("lossy", NetPlan().drop("*", "*", nth=2).duplicate("*", "*", nth=5)
                            .delay("n0", "n1", ticks=4, nth=3),
-         TOLERANT, ()),
+         None, TOLERANT, ()),
         # All three requesters are stuck until the heal, so recovery means
         # the critical-section passes finally complete.
         ("partition-heal",
-         NetPlan().isolate("n0", at=1, heal_at=40), TOLERANT, ("cs_exit",)),
+         NetPlan().isolate("n0", at=1, heal_at=40), None, TOLERANT,
+         ("cs_exit",)),
         # Safe but not live: requesters never assemble the full ack set.
-        ("partition-forever", NetPlan().isolate("n0", at=1), WEDGED, ()),
+        ("partition-forever", NetPlan().isolate("n0", at=1), None, WEDGED,
+         ()),
     ]
 
 
-def _quorum_lock_plans() -> List[PlanCell]:
+def _quorum_lock_plans() -> List[FaultCell]:
     return [
-        ("clean", NetPlan(), TOLERANT, ()),
+        ("clean", NetPlan(), None, TOLERANT, ()),
         ("lossy", NetPlan().drop("*", "*", nth=2).duplicate("*", "*", nth=4),
-         TOLERANT, ()),
+         None, TOLERANT, ()),
         # c0 is cut off mid-acquisition; c1 takes the lock on the majority
         # side, and the stranded c0 must re-acquire after the heal.
         ("partition-heal",
-         NetPlan().isolate("c0", at=2, heal_at=60), TOLERANT,
+         NetPlan().isolate("c0", at=2, heal_at=60), None, TOLERANT,
          ("lease_acquired",)),
         # The majority side still reclaims the lock once any grants the
         # stranded client held expire — tolerant without ever healing.
-        ("partition-forever", NetPlan().isolate("c0", at=2), TOLERANT, ()),
+        ("partition-forever", NetPlan().isolate("c0", at=2), None,
+         TOLERANT, ()),
     ]
 
 
-def _election_plans() -> List[PlanCell]:
+def _election_plans() -> List[FaultCell]:
     return [
-        ("clean", NetPlan(), TOLERANT, ()),
+        ("clean", NetPlan(), None, TOLERANT, ()),
         ("lossy", NetPlan().drop("*", "*", nth=3).duplicate("*", "*", nth=6),
-         TOLERANT, ()),
+         None, TOLERANT, ()),
         # Post-heal reconvergence: either one more election or the stale
         # minority leader stepping down to the higher term.
         ("partition-heal",
-         NetPlan().isolate("n0", at=20, heal_at=70), TOLERANT,
+         NetPlan().isolate("n0", at=20, heal_at=70), None, TOLERANT,
          ("leader_elected", "leader_stepdown")),
         # The majority elects a higher-term leader and keeps beating.
-        ("partition-forever", NetPlan().isolate("n0", at=20), TOLERANT, ()),
+        ("partition-forever", NetPlan().isolate("n0", at=20), None,
+         TOLERANT, ()),
     ]
 
 
@@ -460,34 +398,27 @@ def partition_scenarios() -> List[Tuple]:
 
 def partition_report(
     fast: bool = False,
-) -> Tuple[List[PartitionScenarioResult], str]:
+) -> Tuple[List[Campaign], str]:
     """Run every scenario × plan cell; return (results, rendered table)."""
     budget = 2 if fast else 6
-    results = []
-    for name, build, safety, success, plan_factory in partition_scenarios():
-        results.append(explore_partition_scenario(
-            name, build, plan_factory(), safety, success,
-            max_runs_per_plan=budget,
-        ))
-    rows = []
-    for res in results:
-        for o in res.outcomes:
-            rows.append([
-                res.name,
-                o.plan_name,
-                str(o.runs),
-                str(o.split_brain),
-                str(o.wedged),
-                str(o.tolerant),
-                ("-" if o.mttr_failover is None
-                 else "{:.1f}".format(o.mttr_failover)),
-                ("-" if o.mttr_post_heal is None
-                 else "{:.1f}".format(o.mttr_post_heal)),
-                o.classification,
-            ])
+    results = [
+        explore_dist_scenario(
+            name, build, safety, success,
+            plan_factory(), max_runs_per_cell=budget,
+        )
+        for name, build, safety, success, plan_factory
+        in partition_scenarios()
+    ]
+    rows = [
+        [res.name, o.cell_name, str(o.runs)]
+        + [str(n) for n in o.tally().values()]
+        + [format_ticks(o.mean("failover")),
+           format_ticks(o.mean("post_heal")), o.classification]
+        for res in results for o in res.outcomes
+    ]
     table = ascii_table(
-        ["scenario", "net plan", "runs", "split-brain", "wedged",
-         "tolerant", "failover mttr", "post-heal mttr", "classification"],
+        ["scenario", "net plan", "runs"] + VOCABULARY.headers
+        + ["failover mttr", "post-heal mttr", "classification"],
         rows,
         title="Partition tolerance by scenario (schedules explored per "
               "plan; mttr in virtual ticks)",
@@ -500,6 +431,6 @@ def expected_partition_classifications() -> Dict[Tuple[str, str], str]:
     tests."""
     out: Dict[Tuple[str, str], str] = {}
     for name, __, __, __, plan_factory in partition_scenarios():
-        for plan_name, __, expected, __ in plan_factory():
+        for plan_name, __, __, expected, __ in plan_factory():
             out[(name, plan_name)] = expected
     return out

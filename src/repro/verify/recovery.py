@@ -34,23 +34,31 @@ restarted incarnation legitimately re-enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import ascii_table
 from ..recover import FixedBackoff, LeaseManager, RestartPolicy, Supervisor
-from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.scheduler import Scheduler
 from ..runtime.trace import RunResult
-from .chaos import ChaosBuilder, Checker, FaultPoint, enumerate_fault_points
-from ..explore.engine import ExplorationEngine
+from .campaign import (MISSED, Campaign, SearchResult, Vocabulary,
+                       search_plans)
+from .chaos import (ChaosBuilder, Checker, enumerate_fault_points,
+                    explore_kills, fault_points, kill_plan, kill_table)
 
 RECOVERED = "recovered"
 DEGRADED = "degraded"
 WEDGED = "wedged"
 VIOLATED = "violated"
-MISSED = "missed"
+
+#: Worst first, as :func:`classify_recovery_run` explains.
+VOCABULARY = Vocabulary(
+    precedence=(VIOLATED, WEDGED, DEGRADED, RECOVERED),
+    columns=(("recovered", RECOVERED), ("degraded", DEGRADED),
+             ("wedged", WEDGED), ("violated", VIOLATED)),
+)
+#: Decisions beyond this depth take the default choice (supervised runs
+#: are longer than the chaos layer's).
+MAX_DEPTH = 60
 
 #: Events whose presence means recovery was at best partial.
 _PARTIAL_KINDS = ("restart_giveup", "escalate", "degrade")
@@ -141,119 +149,23 @@ def classify_recovery_run(
     return RECOVERED, []
 
 
-# ----------------------------------------------------------------------
-# Exploration (chaos machinery, recovery classification)
-# ----------------------------------------------------------------------
-@dataclass
-class RecoveryOutcome:
-    """Aggregate over every explored schedule with one fault injected."""
-
-    point: FaultPoint
-    runs: int = 0
-    missed: int = 0
-    recovered: int = 0
-    degraded: int = 0
-    wedged: int = 0
-    violated: int = 0
-    violations: List[str] = field(default_factory=list)
-
-
-@dataclass
-class RecoveryResult:
-    """Outcome of :func:`recovery_explore` for one supervised system."""
-
-    name: str
-    victim: str
-    outcomes: List[RecoveryOutcome] = field(default_factory=list)
-
-    def _total(self, attr: str) -> int:
-        return sum(getattr(o, attr) for o in self.outcomes)
-
-    @property
-    def runs(self) -> int:
-        return self._total("runs")
-
-    @property
-    def recovered(self) -> int:
-        return self._total("recovered")
-
-    @property
-    def degraded(self) -> int:
-        return self._total("degraded")
-
-    @property
-    def wedged(self) -> int:
-        return self._total("wedged")
-
-    @property
-    def violated(self) -> int:
-        return self._total("violated")
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(o.violations)
-        return out
-
-    @property
-    def classification(self) -> str:
-        """Worst observed behaviour (violated > wedged > degraded >
-        recovered) — one bad schedule is enough to earn the worse label."""
-        if self.violated:
-            return VIOLATED
-        if self.wedged:
-            return WEDGED
-        if self.degraded:
-            return DEGRADED
-        return RECOVERED
-
-
 def recovery_explore(
     name: str,
     build: ChaosBuilder,
     victim: str,
     check: Optional[Checker] = None,
     max_runs_per_point: int = 25,
-    max_depth: int = 60,
     max_points: Optional[int] = None,
-) -> RecoveryResult:
+) -> Campaign:
     """Inject a kill at every reachable fault point of ``victim`` and
     explore schedules, classifying each run with
     :func:`classify_recovery_run` (the supervised analogue of
     :func:`~repro.verify.chaos.chaos_explore`)."""
-    points = enumerate_fault_points(build, victim)
-    if max_points is not None:
-        points = points[:max_points]
-    result = RecoveryResult(name=name, victim=victim)
-    for point in points:
-        plan = FaultPlan().kill(point.process, at_step=point.step)
-        outcome = RecoveryOutcome(point=point)
-
-        def run_one(policy: ScriptedPolicy) -> RunResult:
-            return build(policy, plan)
-
-        def tally(run: RunResult) -> List[str]:
-            outcome.runs += 1
-            label, messages = classify_recovery_run(run, (victim,), check)
-            if label == MISSED:
-                outcome.missed += 1
-            elif label == RECOVERED:
-                outcome.recovered += 1
-            elif label == DEGRADED:
-                outcome.degraded += 1
-            elif label == WEDGED:
-                outcome.wedged += 1
-            else:
-                outcome.violated += 1
-                outcome.violations.extend(messages)
-            return []
-
-        ExplorationEngine(
-            run_one, max_runs=max_runs_per_point, max_depth=max_depth,
-        ).explore(tally)
-        result.outcomes.append(outcome)
-    return result
+    return explore_kills(
+        name, build, victim, VOCABULARY,
+        lambda run: classify_recovery_run(run, (victim,), check),
+        MAX_DEPTH, max_runs_per_point, max_points,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +202,7 @@ def _cs_worker(sched, obj, acquire, release):
         sched.log("cs", obj, "enter")
         yield from sched.checkpoint()
         sched.log("cs", obj, "exit")
-        release_gen = release()
-        if release_gen is not None:
-            yield from release_gen
+        release()
 
     return worker
 
@@ -308,16 +218,8 @@ def _sem_recovery(degrade_after: Optional[int] = None) -> ChaosBuilder:
         sem = Semaphore(sched, initial=1, name="s", crash_release=False,
                         wake_policy="lifo")
         leases.guard(sem)
-
-        def worker():
-            yield from sem.p()
-            sched.log("cs", "s", "enter")
-            yield from sched.checkpoint()
-            sched.log("cs", "s", "exit")
-            sem.v()
-
         for i in range(3):
-            sup.child("P{}".format(i), worker)
+            sup.child("P{}".format(i), _cs_worker(sched, "s", sem.p, sem.v))
 
     return _supervised(setup, degrade_after=degrade_after)
 
@@ -328,16 +230,9 @@ def _mutex_recovery() -> ChaosBuilder:
     def setup(sched, leases, sup):
         lock = Mutex(sched, name="m")
         leases.guard(lock)
-
-        def worker():
-            yield from lock.acquire()
-            sched.log("cs", "m", "enter")
-            yield from sched.checkpoint()
-            sched.log("cs", "m", "exit")
-            lock.release()
-
         for i in range(3):
-            sup.child("P{}".format(i), worker)
+            sup.child("P{}".format(i), _cs_worker(
+                sched, "m", lock.acquire, lock.release))
 
     return _supervised(setup)
 
@@ -348,16 +243,9 @@ def _monitor_recovery() -> ChaosBuilder:
     def setup(sched, leases, sup):
         mon = Monitor(sched, name="mon")
         leases.guard(mon)
-
-        def worker():
-            yield from mon.enter()
-            sched.log("cs", "mon", "enter")
-            yield from sched.checkpoint()
-            sched.log("cs", "mon", "exit")
-            mon.exit()
-
         for i in range(3):
-            sup.child("P{}".format(i), worker)
+            sup.child("P{}".format(i), _cs_worker(
+                sched, "mon", mon.enter, mon.exit))
 
     return _supervised(setup)
 
@@ -394,16 +282,13 @@ def _ccr_recovery() -> ChaosBuilder:
         cell = SharedRegion(sched, {"entries": 0}, name="v")
         leases.guard(cell)
 
-        def worker():
+        def enter():
             yield from cell.enter()
             cell.vars["entries"] += 1
-            sched.log("cs", "v", "enter")
-            yield from sched.checkpoint()
-            sched.log("cs", "v", "exit")
-            cell.leave()
 
         for i in range(3):
-            sup.child("P{}".format(i), worker)
+            sup.child("P{}".format(i), _cs_worker(
+                sched, "v", enter, cell.leave))
 
     return _supervised(setup)
 
@@ -512,8 +397,7 @@ def mttr_fingerprints() -> Dict[str, dict]:
         build = factory()
         points = enumerate_fault_points(build, victim)
         point = points[-1]
-        plan = FaultPlan().kill(point.process, at_step=point.step)
-        run = build(ScriptedPolicy([]), plan)
+        run = build(ScriptedPolicy([]), kill_plan([point]))
         metrics = compute_recovery_metrics(run)
         label, __ = classify_recovery_run(
             run, (victim,), exclusion_oracle(obj)
@@ -535,9 +419,14 @@ def mttr_fingerprints() -> Dict[str, dict]:
     return out
 
 
-def minimal_defeat_witness(budget: int = 200, schedules_per_plan: int = 1):
+def minimal_defeat_witness(budget: int = 200) -> SearchResult:
     """Search for a minimal crash set that defeats supervised-semaphore
-    recovery, ddmin-minimized (:func:`repro.recover.search_fault_plans`).
+    recovery, ddmin-minimized (:func:`repro.verify.campaign.search_plans`).
+
+    Candidate plans are every set of one or two kills aimed at *distinct*
+    processes among the supervisor and the workers, over the fault points
+    of a fault-free baseline run, singletons first, up to ``budget``
+    plans; each runs once under the FIFO schedule.
 
     Recovery of the raw semaphore is *incomplete* in a precise sense: it
     depends on the supervisor being alive to reclaim and restart.  Either
@@ -547,29 +436,25 @@ def minimal_defeat_witness(budget: int = 200, schedules_per_plan: int = 1):
     to revoke it, and the survivors wedge.  The expected witness is
     therefore exactly 2 faults.
     """
-    from ..recover import search_fault_plans
-
     build = _sem_recovery()
     workers = ("P0", "P1", "P2")
+    check = exclusion_oracle("s")
 
-    def classify(run: RunResult) -> str:
+    def defeats(kills: Tuple) -> Optional[str]:
         label, __ = classify_recovery_run(
-            run, workers, exclusion_oracle("s")
-        )
-        return label
+            build(ScriptedPolicy([]), kill_plan(kills)), workers, check)
+        return label if label in (WEDGED, VIOLATED) else None
 
-    return search_fault_plans(
-        build,
-        classify,
-        victims=("sup",) + workers,
-        bad_labels=(WEDGED, VIOLATED),
-        max_kills=2,
-        budget=budget,
-        schedules_per_plan=schedules_per_plan,
-    )
+    baseline = build(ScriptedPolicy([]), None)
+    points = [p for victim in ("sup",) + workers
+              for p in fault_points(baseline, victim)]
+    # One kill per process: re-killing a restarted incarnation only pays
+    # off past the restart budget, which needs more than two kills.
+    return search_plans(points, defeats, max_size=2, budget=budget,
+                        distinct=lambda p: p.process)
 
 
-def recovery_report(fast: bool = False) -> Tuple[List[RecoveryResult], str]:
+def recovery_report(fast: bool = False) -> Tuple[List[Campaign], str]:
     """Run every supervised recovery scenario; return (results, table).
 
     ``fast`` trims the schedule budget per fault point (CI smoke tier);
@@ -577,33 +462,15 @@ def recovery_report(fast: bool = False) -> Tuple[List[RecoveryResult], str]:
     """
     budget = 6 if fast else 25
     max_points = 4 if fast else None
-    results = []
-    for name, factory, victim, obj, __ in RECOVERY_SCENARIOS:
-        results.append(recovery_explore(
-            name,
-            factory(),
-            victim,
-            check=exclusion_oracle(obj),
-            max_runs_per_point=budget,
-            max_points=max_points,
-        ))
-    rows = []
-    for res in results:
-        rows.append([
-            res.name,
-            str(len(res.outcomes)),
-            str(res.runs),
-            str(res.recovered),
-            str(res.degraded),
-            str(res.wedged),
-            str(res.violated),
-            res.classification,
-        ])
-    table = ascii_table(
-        ["scenario", "fault points", "runs", "recovered", "degraded",
-         "wedged", "violated", "classification"],
-        rows,
-        title="Recovery under supervision (one kill per point, schedules "
-              "explored per point)",
+    results = [
+        recovery_explore(name, factory(), victim,
+                         check=exclusion_oracle(obj),
+                         max_runs_per_point=budget, max_points=max_points)
+        for name, factory, victim, obj, __ in RECOVERY_SCENARIOS
+    ]
+    table = kill_table(
+        results, VOCABULARY, "scenario",
+        "Recovery under supervision (one kill per point, schedules "
+        "explored per point)",
     )
     return results, table

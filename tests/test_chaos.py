@@ -14,15 +14,15 @@ from repro.problems.one_slot_buffer.impls import (
     SerializerOneSlotBuffer,
 )
 from repro.runtime import FaultPlan, Scheduler
-from repro.verify import ScheduleExplorer, check_alternation
+from repro.explore import ExplorationEngine
+from repro.verify import check_alternation
+from repro.verify.campaign import Campaign, Cell
 from repro.verify.chaos import (
     CONTAINING,
     DEADLOCKING,
     PROPAGATING,
     STEP_LIMITED,
-    ChaosResult,
-    PointOutcome,
-    FaultPoint,
+    VOCABULARY,
     chaos_explore,
     classify_run,
     enumerate_fault_points,
@@ -125,14 +125,15 @@ class TestFaultPoints:
         assert all(p.process == "P0" for p in points)
 
     def test_chaos_result_classification_precedence(self):
-        result = ChaosResult(name="x", victim="P0")
-        result.outcomes.append(PointOutcome(
-            point=FaultPoint("P0", 0), runs=3, contained=2, propagated=1,
-        ))
+        result = Campaign(name="x", vocabulary=VOCABULARY, victim="P0")
+        first = Cell("kill P0 at step 0", VOCABULARY)
+        for label in (CONTAINING, CONTAINING, PROPAGATING):
+            first.add(label)
+        result.outcomes.append(first)
         assert result.classification == PROPAGATING
-        result.outcomes.append(PointOutcome(
-            point=FaultPoint("P0", 1), runs=1, deadlocked=1,
-        ))
+        second = Cell("kill P0 at step 1", VOCABULARY)
+        second.add(DEADLOCKING)
+        result.outcomes.append(second)
         assert result.classification == DEADLOCKING  # worst outcome wins
 
 
@@ -146,8 +147,9 @@ class TestChaosExplore:
             max_runs_per_point=6, max_points=3,
         )
         assert result.classification == CONTAINING
-        assert result.contained > 0
-        assert result.propagated == 0 and result.deadlocked == 0
+        assert result.count(CONTAINING) > 0
+        assert result.count(PROPAGATING) == 0
+        assert result.count(DEADLOCKING) == 0
 
     def test_raw_semaphore_scenario_deadlocks(self):
         result = chaos_explore(
@@ -155,7 +157,7 @@ class TestChaosExplore:
             max_runs_per_point=6, max_points=4,
         )
         assert result.classification == DEADLOCKING
-        assert result.deadlocked > 0
+        assert result.count(DEADLOCKING) > 0
 
     def test_fast_report_matches_fault_model(self):
         results, table = robustness_report(fast=True)
@@ -214,7 +216,7 @@ def _assert_alternation_under_kill(impl_cls, runs_per_point, max_points=None):
         def check(run):
             return check_alternation(run.trace, "slot")
 
-        outcome = ScheduleExplorer(
+        outcome = ExplorationEngine(
             lambda policy: build(policy, plan),
             max_runs=runs_per_point, max_depth=50,
         ).explore(check)
@@ -289,14 +291,3 @@ class TestStepLimitClassification:
         run = sched.run(on_steplimit="return")
         assert run.step_limited
         assert classify_run(run, "P0")[0] == STEP_LIMITED
-
-    def test_outcome_counters_track_step_limited(self):
-        outcome = PointOutcome(point=FaultPoint("P0", 0))
-        assert outcome.step_limited == 0
-        result = ChaosResult(name="x", victim="P0", outcomes=[outcome])
-        outcome.step_limited += 1
-        assert result.step_limited == 1
-        assert result.classification == STEP_LIMITED
-        # Precedence: any deadlock outranks the step-limit label.
-        outcome.deadlocked += 1
-        assert result.classification == DEADLOCKING

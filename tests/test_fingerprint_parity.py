@@ -9,14 +9,18 @@ Two checks over every exploration target:
   exhaustion as the serial engine and the parallel frontier, which skip the
   replayed prefix and stop after a claimed continuation.
 
-CSP fingerprints carry channel object addresses, which vary between runs
-of one process; the parity check gives channels an address-free repr so
-the reference and the engine see the same states.  The CI matrix runs the
-parallel comparison with REPRO_EXPLORE_TEST_WORKERS=2.
+A third check runs the CSP targets, whose event details carry channels,
+in two interpreters with different hash seeds: a fingerprint must be a
+function of the state alone, never of object addresses or string hashing.
+The CI matrix runs the parallel comparison with
+REPRO_EXPLORE_TEST_WORKERS=2.
 """
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -29,7 +33,6 @@ from repro.explore import (
     explore_parallel,
     get_target,
 )
-from repro.mechanisms.channels import Channel
 from repro.obs.sink import InstrumentationSink
 from repro.runtime.policies import RandomPolicy, ScriptedPolicy
 
@@ -147,15 +150,8 @@ def summary(result: ExplorationResult):
             result.exhausted)
 
 
-@pytest.fixture
-def address_free_channels(monkeypatch):
-    monkeypatch.setattr(Channel, "__repr__",
-                        lambda self: "Channel({!r})".format(self.name))
-
-
 @pytest.mark.parametrize("pair", TARGETS, ids=target_id)
-def test_pruned_search_matches_fingerprint_every_decision(
-        pair, address_free_channels):
+def test_pruned_search_matches_fingerprint_every_decision(pair):
     target = get_target(*pair)
     engine = ExplorationEngine(target.runner(), max_runs=BUDGET,
                                max_depth=MAX_DEPTH, prune=True)
@@ -177,3 +173,55 @@ def test_expand_record_refuses_an_unrecorded_position():
     # Unpruned expansion reads no fingerprints at all.
     children, __ = expand_record(record, MAX_DEPTH, None)
     assert children == [(1,), (0, 1)]
+
+
+# ----------------------------------------------------------------------
+# Cross-process stability
+# ----------------------------------------------------------------------
+#: Prints, per CSP target, the fingerprint at every decision of a few
+#: random schedules.
+FINGERPRINT_SCRIPT = """
+import json
+from repro.explore import available_targets, get_target
+from repro.runtime.policies import RandomPolicy
+
+class Fingerprinting(RandomPolicy):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.fingerprints = []
+
+    def observe_state(self, sched):
+        if not self.fingerprints:
+            sched.enable_fingerprinting()
+        self.fingerprints.append(sched.fingerprint())
+
+out = {}
+for pair in available_targets():
+    if pair[1] != "csp":
+        continue
+    sequences = []
+    for seed in range(5):
+        policy = Fingerprinting(seed)
+        get_target(*pair).build_and_run(policy)
+        sequences.append(policy.fingerprints)
+    out["/".join(pair)] = sequences
+print(json.dumps(out))
+"""
+
+
+def csp_fingerprints(hash_seed: str) -> dict:
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", FINGERPRINT_SCRIPT],
+                         env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    return json.loads(out.stdout)
+
+
+def test_csp_fingerprints_agree_across_processes():
+    first = csp_fingerprints("1")
+    assert len(first) == 7
+    assert all(seq for sequences in first.values() for seq in sequences)
+    assert csp_fingerprints("2") == first

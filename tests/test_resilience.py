@@ -25,10 +25,10 @@ from repro.resilience import (
     describe_joint,
     expected_resilience_classifications,
     joint_plan,
-    minimize_joint_set,
     resilience_scenarios,
     search_joint_plans,
     search_restart_witness,
+    witness_payload,
 )
 from repro.runtime.errors import WaitTimeout
 from repro.runtime.faults import FaultPlan
@@ -309,23 +309,15 @@ class TestJointSearch:
         assert found.tried >= 4
         assert found.witness == (CrashSpec("a", 1), CutSpec("n0", 0, 10))
         assert found.witness_label == SPLIT_BRAIN
-        assert (found.witness_kills, found.witness_cuts) == (1, 1)
-
-    def test_minimize_drops_redundant_faults(self):
-        build, classify = _product_classifier("a", "n0")
-        bloated = [CrashSpec("a", 1), CrashSpec("b", 1),
-                   CutSpec("n0", 0, 10)]
-        witness, tests = minimize_joint_set(build, classify, bloated,
-                                            bad_labels=(SPLIT_BRAIN,))
-        assert set(witness) == {CrashSpec("a", 1), CutSpec("n0", 0, 10)}
-        assert tests >= 1
+        payload = witness_payload(found)
+        assert (payload["witness_kills"], payload["witness_cuts"]) == (1, 1)
 
     def test_witness_dict_round_trips_to_replayable_plans(self):
         build, classify = _product_classifier("a", "n0")
         found = search_joint_plans(
             build, classify, [CrashSpec("a", 1)], [CutSpec("n0", 0, 10)],
             bad_labels=(SPLIT_BRAIN,))
-        payload = found.to_dict()
+        payload = witness_payload(found)
         from repro.dist import NetPlan
 
         fault_plan = FaultPlan.from_dict(payload["witness_fault_plan"])
@@ -346,8 +338,8 @@ class TestRestartWitnessSearch:
         assert found.witness is not None
         assert found.witness_label == SPLIT_BRAIN
         assert len(found.witness) <= 2
-        assert found.witness_kills == 1
-        assert found.witness_cuts == 1
+        payload = witness_payload(found)
+        assert (payload["witness_kills"], payload["witness_cuts"]) == (1, 1)
         assert fenced_label == TOLERANT
         # Singletons were all tried before any pair was: the witness
         # being a pair proves no single fault suffices.
